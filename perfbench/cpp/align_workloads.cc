@@ -1,10 +1,13 @@
 // align_dense and align_text: the batch `ceaff align` run.
 //
 // Untraced runs time CeaffPipeline::Run (with index export) back to back
-// for the run's duration. The traced run instead calls each layer's public
-// entry point in the order Run() does, inside spans, and requires the fused
-// matrix and the matching to be byte-identical to CeaffPipeline::Run's.
+// for the run's duration. The traced run times Run()'s own stages through
+// its stage callback, then splits those stages by calling the layers'
+// public entry points on Run()'s inputs and outputs; every probe must
+// reproduce what Run() produced byte for byte.
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <numeric>
 
@@ -20,7 +23,7 @@
 #include "ceaff/serve/alignment_index.h"
 #include "ceaff/serve/ann_build.h"
 #include "ceaff/text/embedding_io.h"
-#include "ceaff/text/name_embedding.h"
+#include "ceaff/text/word_embedding.h"
 #include "harness.h"
 #include "inputs.h"
 #include "workloads.h"
@@ -47,8 +50,10 @@ AlignSpec SpecFor(const std::string& workload) {
   return {"SRPRS_EN_FR", 2.5, false, 0.50};
 }
 
-/// Load repetitions in set-up: the load is sub-second, so its median over
-/// several repetitions is what setup_s reports.
+/// Set-up runs this many times before the first measured operation. A load
+/// takes well under a second and follows the host's speed, so the untraced
+/// run also repeats it before every Run(): the setup_s median then draws on
+/// the whole run, as align_s does, not only on its first second.
 constexpr int kSetupReps = 7;
 /// Align repetitions never drop below this, whatever --seconds says.
 constexpr int kMinAlignReps = 3;
@@ -84,34 +89,49 @@ uint64_t MatrixDigest(const la::Matrix& m) {
   return h;
 }
 
-/// Set-up: the program's load of the generated inputs, several times.
-double TimedLoads(const KgInputs& inputs, Tracer* tracer, Result* result,
-                  kg::KgPair* pair, text::WordEmbeddingStore* store,
-                  std::vector<double>* kg_load_s) {
-  std::vector<double> setup_s;
-  uint64_t ok = 0;
-  for (int rep = 0; rep < kSetupReps; ++rep) {
-    ScopedSpan setup(tracer, "setup");
+/// Set-up: the program's load of the generated inputs. Each Load() is one
+/// repetition; setup_s is the median over all of them.
+class Loads {
+ public:
+  Loads(const KgInputs& inputs, Tracer* tracer, Result* result)
+      : inputs_(inputs), tracer_(tracer), result_(result) {}
+
+  void Load(kg::KgPair* pair, text::WordEmbeddingStore* store) {
+    ScopedSpan setup(tracer_, "setup");
     Status st;
     {
-      ScopedSpan load(tracer, "kg.load");
+      ScopedSpan load(tracer_, "kg.load");
       *pair = kg::KgPair();
-      st = kg::LoadKgPair(inputs.data_dir, pair);
-      kg_load_s->push_back(load.Stop());
+      st = kg::LoadKgPair(inputs_.data_dir, pair);
+      kg_load_s_.push_back(load.Stop());
     }
     if (st.ok()) {
-      ScopedSpan vectors(tracer, "text.load_vectors");
-      *store = text::WordEmbeddingStore(inputs.embedding_dim, kStoreSeed);
-      st = text::LoadTextEmbeddings(inputs.vectors_path, store);
+      ScopedSpan vectors(tracer_, "text.load_vectors");
+      *store = text::WordEmbeddingStore(inputs_.embedding_dim, kStoreSeed);
+      st = text::LoadTextEmbeddings(inputs_.vectors_path, store);
       store->set_hash_fallback(false);
     }
-    setup_s.push_back(setup.Stop());
-    if (result->Check(st.ok(), "load inputs: " + st.ToString())) ++ok;
+    setup_s_.push_back(setup.Stop());
+    if (result_->Check(st.ok(), "load inputs: " + st.ToString())) ++ok_;
   }
-  result->Phase("setup", kSetupReps, ok);
-  result->RecordSamples("setup_s_samples", setup_s);
-  return Median(setup_s);
-}
+
+  /// Records the phase and its samples; returns the median set-up time.
+  double Finish() {
+    result_->Phase("setup", setup_s_.size(), ok_);
+    result_->RecordSamples("setup_s_samples", setup_s_);
+    return Median(setup_s_);
+  }
+
+  const std::vector<double>& kg_load_s() const { return kg_load_s_; }
+
+ private:
+  const KgInputs& inputs_;
+  Tracer* tracer_;
+  Result* result_;
+  std::vector<double> setup_s_;
+  std::vector<double> kg_load_s_;
+  uint64_t ok_ = 0;
+};
 
 void AddCommonRecord(const AlignSpec& spec, const KgInputs& inputs,
                      const std::string& digest, Result* result) {
@@ -129,9 +149,8 @@ void RunUntraced(const RunConfig& config, const AlignSpec& spec,
                  const KgInputs& inputs, Result* result) {
   kg::KgPair pair;
   text::WordEmbeddingStore store(inputs.embedding_dim, kStoreSeed);
-  std::vector<double> kg_load_s;
-  const double setup_s =
-      TimedLoads(inputs, nullptr, result, &pair, &store, &kg_load_s);
+  Loads loads(inputs, nullptr, result);
+  for (int rep = 0; rep < kSetupReps; ++rep) loads.Load(&pair, &store);
 
   const core::CeaffOptions options =
       AlignOptions(spec, config, config.work_dir + "/index.idx");
@@ -142,6 +161,7 @@ void RunUntraced(const RunConfig& config, const AlignSpec& spec,
   uint64_t sent = 0, ok = 0;
   const int64_t start = NowNs();
   while (sent < kMinAlignReps || SecondsSince(start) < config.seconds) {
+    if (sent > 0) loads.Load(&pair, &store);
     ++sent;
     core::CeaffPipeline pipe(&pair, &store, options);
     const int64_t t0 = NowNs();
@@ -168,83 +188,128 @@ void RunUntraced(const RunConfig& config, const AlignSpec& spec,
     if (good) ++ok;
   }
   result->Phase("align", sent, ok);
-  result->Add("setup_s", setup_s, "s");
+  result->Add("setup_s", loads.Finish(), "s");
   result->Add("align_s", Median(align_s), "s");
   result->Add("peak_rss_mb", PeakRssMb(), "MB");
   result->Add("hits1", hits1, "ratio");
-  result->Add("ok_frac", static_cast<double>(ok) / static_cast<double>(sent),
+  result->Add("ok_frac",
+              static_cast<double>(result->attempted() - result->failed()) /
+                  static_cast<double>(result->attempted()),
               "ratio");
   result->RecordSamples("align_s_samples", align_s);
 }
 
-/// One pass over Run()'s stages, each called through its layer's public
-/// entry point, in Run()'s order and with Run()'s options.
-struct LayerPass {
-  std::unique_ptr<ThreadPool> pool;
-  std::unique_ptr<la::KernelContext> ctx;  // the GCN keeps a pointer to it
-  std::unique_ptr<embed::GcnAligner> gcn;
-  core::CeaffFeatures features;
-  core::CeaffResult result;
-  /// Layer metric name -> seconds.
+/// Span name for each stage boundary Run() reports through its stage
+/// callback; the span runs from the previous boundary to this one.
+std::string StageSpanName(const std::string& stage) {
+  if (stage == "structural") return "embed.structural";
+  if (stage == "semantic") return "text.semantic";
+  if (stage == "string") return "text.string";
+  // Everything after the last feature stage: fusion, decision, ranking
+  // metrics and the index export.
+  if (stage == "export_index") return "core.decide_export";
+  return "core.run." + stage;
+}
+
+/// One CeaffPipeline::Run() whose stage callback closes a top-level span
+/// per stage and reads VmHWM at each boundary.
+struct StagedRun {
+  StatusOr<core::CeaffResult> result = Status::Internal("not run");
+  /// Span name -> seconds and VmHWM (MB) at its end, in Run()'s order.
   std::vector<std::pair<std::string, double>> seconds;
-  bool string_pruned = false;
-  double features_mb = 0.0;
-  double decide_mb = 0.0;
+  std::vector<std::pair<std::string, double>> peak_mb;
   int64_t start_ns = 0;
   int64_t end_ns = 0;
   double cpu_s = 0.0;
+
+  double Seconds(const std::string& name) const {
+    for (const auto& [n, v] : seconds) {
+      if (n == name) return v;
+    }
+    return 0.0;
+  }
 };
 
-std::unique_ptr<LayerPass> RunLayers(const kg::KgPair& pair,
-                                     const text::WordEmbeddingStore& store,
-                                     const core::CeaffOptions& options,
-                                     Tracer* tracer, Result* result) {
-  auto pass = std::make_unique<LayerPass>();
-  pass->start_ns = NowNs();
-  const double cpu_start = ProcessCpuSeconds();
-  if (options.num_threads > 1) {
-    pass->pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-  pass->ctx = std::make_unique<la::KernelContext>();
-  la::KernelContext& ctx = *pass->ctx;
-  ctx.pool = pass->pool.get();
-  ctx.opts.OverrideBlock(options.block_size);
-  core::CeaffFeatures& features = pass->features;
-  auto timed = [&](const char* name, ScopedSpan* span) {
-    pass->seconds.push_back({std::string(name) + "_s", span->Stop()});
+StagedRun RunStaged(const kg::KgPair& pair,
+                    const text::WordEmbeddingStore& store,
+                    core::CeaffOptions options, Tracer* tracer) {
+  StagedRun staged;
+  int64_t stage_start = 0;
+  options.stage_callback = [&](const std::string& stage, bool) {
+    const int64_t now = NowNs();
+    const std::string name = StageSpanName(stage);
+    tracer->Add(name, stage_start, now, /*parent=*/-1);
+    staged.seconds.push_back(
+        {name, static_cast<double>(now - stage_start) * 1e-9});
+    staged.peak_mb.push_back({name, PeakRssMb()});
+    stage_start = now;
   };
+  core::CeaffPipeline pipe(&pair, &store, options);
+  const double cpu_start = ProcessCpuSeconds();
+  staged.start_ns = NowNs();
+  stage_start = staged.start_ns;
+  staged.result = pipe.Run();
+  staged.end_ns = NowNs();
+  staged.cpu_s = ProcessCpuSeconds() - cpu_start;
+  return staged;
+}
 
+/// True when both files read back the same, non-empty bytes.
+bool SameFile(const std::string& a, const std::string& b) {
+  auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string bytes = read(a);
+  return !bytes.empty() && bytes == read(b);
+}
+
+/// Splits of what Run() reports as one stage: each calls a layer's public
+/// entry point on the traced run's own inputs or outputs, times it, and
+/// checks that it reproduces what Run() produced.
+void RunProbes(const kg::KgPair& pair, const text::WordEmbeddingStore& store,
+               const core::CeaffOptions& options, const core::CeaffResult& run,
+               const RunConfig& config, Tracer* tracer, Result* result) {
+  std::unique_ptr<ThreadPool> pool;
+  if (options.num_threads > 1) {
+    pool = std::make_unique<ThreadPool>(options.num_threads);
+  }
+  la::KernelContext ctx;
+  ctx.pool = pool.get();
+  ctx.opts.OverrideBlock(options.block_size);
   std::vector<uint32_t> test_src, test_tgt, seed_src, seed_tgt;
   core::TestIds(pair, &test_src, &test_tgt);
   for (const kg::AlignmentPair& p : pair.seed_alignment) {
     seed_src.push_back(p.source);
     seed_tgt.push_back(p.target);
   }
+
+  // The structural stage: adjacency, GCN training, cosine similarity.
+  core::CeaffFeatures features;
   if (options.use_structural) {
     la::SparseMatrix a1, a2;
     {
       ScopedSpan span(tracer, "kg.adjacency");
       a1 = kg::BuildAdjacency(pair.kg1, options.adjacency);
       a2 = kg::BuildAdjacency(pair.kg2, options.adjacency);
-      timed("kg.adjacency", &span);
+      result->Add("kg.adjacency_s", span.Stop(), "s");
     }
     embed::GcnOptions gcn_options = options.gcn;
     gcn_options.kernel = &ctx;
-    pass->gcn = std::make_unique<embed::GcnAligner>(
-        std::move(a1), std::move(a2), gcn_options);
+    embed::GcnAligner gcn(std::move(a1), std::move(a2), gcn_options);
     {
       ScopedSpan span(tracer, "embed.gcn_train");
-      auto loss = pass->gcn->Train(pair.seed_alignment);
-      timed("embed.gcn_train", &span);
+      auto loss = gcn.Train(pair.seed_alignment);
+      const double train_s = span.Stop();
       result->Check(loss.ok(),
                     "GcnAligner::Train: " + loss.status().ToString());
-      features.gcn_final_loss = loss.ok() ? *loss : 0.0;
+      result->Add("embed.gcn_train_s", train_s, "s");
+      result->Add("embed.gcn_epoch_ms",
+                  train_s * 1e3 / static_cast<double>(options.gcn.epochs),
+                  "ms");
     }
-    const embed::GcnAligner& gcn = *pass->gcn;
     features.structural_src_emb = core::GatherRows(gcn.embeddings1(), test_src);
     features.structural_tgt_emb = core::GatherRows(gcn.embeddings2(), test_tgt);
-    features.structural_x1 = gcn.features1();
-    features.structural_x2 = gcn.features2();
     {
       ScopedSpan span(tracer, "la.struct_cosine");
       auto test = la::CosineSimilarityChecked(ctx, features.structural_src_emb,
@@ -252,46 +317,34 @@ std::unique_ptr<LayerPass> RunLayers(const kg::KgPair& pair,
       auto seed = la::CosineSimilarityChecked(
           ctx, core::GatherRows(gcn.embeddings1(), seed_src),
           core::GatherRows(gcn.embeddings2(), seed_tgt));
-      result->Check(test.ok() && seed.ok(), "structural cosine failed");
-      if (test.ok()) features.structural = std::move(test).value();
-      if (seed.ok()) features.seed_structural = std::move(seed).value();
-      timed("la.struct_cosine", &span);
+      result->Add("la.struct_cosine_s", span.Stop(), "s");
+      result->Check(test.ok() && seed.ok() && SameMatrix(*test, run.structural),
+                    "structural probe differs from Run()'s structural "
+                    "matrix");
     }
+    std::vector<double> forward_ms;
+    for (int i = 0; i < 5; ++i) {
+      ScopedSpan span(tracer, "embed.gcn_forward");
+      gcn.Forward();
+      forward_ms.push_back(span.Stop() * 1e3);
+    }
+    result->Add("embed.gcn_forward_ms", Median(forward_ms), "ms");
   }
-  const std::vector<std::string> src_names =
-      core::GatherNames(pair.kg1, test_src);
-  const std::vector<std::string> tgt_names =
-      core::GatherNames(pair.kg2, test_tgt);
-  const std::vector<std::string> seed_src_names =
-      core::GatherNames(pair.kg1, seed_src);
-  const std::vector<std::string> seed_tgt_names =
-      core::GatherNames(pair.kg2, seed_tgt);
-  {
-    ScopedSpan span(tracer, "text.semantic");
-    features.semantic =
-        text::SemanticSimilarityMatrix(store, src_names, tgt_names, &ctx);
-    features.seed_semantic = text::SemanticSimilarityMatrix(
-        store, seed_src_names, seed_tgt_names, &ctx);
-    timed("text.semantic", &span);
-  }
-  {
-    ScopedSpan span(tracer, "text.string");
-    la::StringKernelChoice choice;
-    features.string_sim =
-        la::StringSimilarityMatrixAuto(ctx, src_names, tgt_names, &choice);
-    features.seed_string =
-        la::StringSimilarityMatrixAuto(ctx, seed_src_names, seed_tgt_names);
-    timed("text.string", &span);
-    pass->string_pruned = choice.pruned;
-  }
-  pass->features_mb = PeakRssMb();
+  result->Add("text.string_pruned",
+              la::ChooseStringKernel(core::GatherNames(pair.kg1, test_src),
+                                     core::GatherNames(pair.kg2, test_tgt))
+                      .pruned
+                  ? 1.0
+                  : 0.0,
+              "count");
 
-  core::CeaffResult& out = pass->result;
+  // The stage after the features: fusion, DAA, ranking metrics, export.
+  core::CeaffResult out;
   {
     ScopedSpan span(tracer, "fusion.fuse");
     if (options.use_structural) {
-      auto two = fusion::TwoStageFuse(features.structural, features.semantic,
-                                      features.string_sim, options.fusion);
+      auto two = fusion::TwoStageFuse(run.structural, run.semantic,
+                                      run.string_sim, options.fusion);
       if (result->Check(two.ok(),
                         "TwoStageFuse: " + two.status().ToString())) {
         out.fused = std::move(two->fused);
@@ -300,24 +353,38 @@ std::unique_ptr<LayerPass> RunLayers(const kg::KgPair& pair,
       }
     } else {
       fusion::FeatureWeightReport report;
-      auto fused = fusion::AdaptiveFuse(
-          {&features.semantic, &features.string_sim}, options.fusion, &report);
+      auto fused = fusion::AdaptiveFuse({&run.semantic, &run.string_sim},
+                                        options.fusion, &report);
       if (result->Check(fused.ok(),
                         "AdaptiveFuse: " + fused.status().ToString())) {
         out.fused = std::move(fused).value();
         out.final_weights = report.weights;
       }
     }
-    timed("fusion.fuse", &span);
+    result->Add("fusion.fuse_s", span.Stop(), "s");
+    result->Check(SameMatrix(out.fused, run.fused),
+                  "fusion probe differs from Run()'s fused matrix");
   }
   {
     ScopedSpan span(tracer, "matching.daa");
     auto match = matching::DeferredAcceptanceChecked(out.fused, nullptr);
+    result->Add("matching.daa_s", span.Stop(), "s");
     if (result->Check(match.ok(), "DeferredAcceptanceChecked: " +
                                       match.status().ToString())) {
       out.match = std::move(match).value();
     }
-    timed("matching.daa", &span);
+    result->Check(out.match.target_of_source == run.match.target_of_source,
+                  "DAA probe differs from Run()'s matching");
+  }
+  {
+    ScopedSpan span(tracer, "matching.daa_traced");
+    std::vector<matching::DaaTraceEvent> events;
+    const matching::MatchResult match =
+        matching::DeferredAcceptanceTraced(out.fused, &events);
+    result->Check(match.target_of_source == run.match.target_of_source,
+                  "DeferredAcceptanceTraced differs from Run()'s matching");
+    result->Add("matching.proposals", static_cast<double>(events.size()),
+                "count");
   }
   {
     ScopedSpan span(tracer, "eval.ranking");
@@ -325,127 +392,22 @@ std::unique_ptr<LayerPass> RunLayers(const kg::KgPair& pair,
     std::iota(gold.begin(), gold.end(), int64_t{0});
     out.accuracy = eval::Accuracy(out.match, gold);
     out.ranking = eval::ComputeRankingMetrics(out.fused, gold);
-    timed("eval.ranking", &span);
+    result->Add("eval.ranking_s", span.Stop(), "s");
   }
   {
+    core::CeaffOptions probe_options = options;
+    probe_options.export_index_path = config.work_dir + "/probe.idx";
+    core::CeaffPipeline exporter(&pair, &store, probe_options);
     ScopedSpan span(tracer, "core.export");
-    core::CeaffPipeline exporter(&pair, &store, options);
     const Status st = exporter.ExportIndex(features, out);
+    result->Add("core.export_s", span.Stop(), "s");
     result->Check(st.ok(), "ExportIndex: " + st.ToString());
-    timed("core.export", &span);
-  }
-  pass->end_ns = NowNs();
-  pass->decide_mb = PeakRssMb();
-  pass->cpu_s = ProcessCpuSeconds() - cpu_start;
-  return pass;
-}
-
-/// The traced run. A first, untraced layer pass runs while VmHWM is still
-/// fresh and gives the memory metrics; CeaffPipeline::Run then runs once
-/// as the untraced reference; a second, traced pass on the warmed-up
-/// process gives every time. Both passes must reproduce Run()'s fused
-/// matrix and matching byte for byte.
-void RunTraced(const RunConfig& config, const AlignSpec& spec,
-               const KgInputs& inputs, Tracer* tracer, Result* result) {
-  kg::KgPair pair;
-  text::WordEmbeddingStore store(inputs.embedding_dim, kStoreSeed);
-  std::vector<double> kg_load_s;
-  TimedLoads(inputs, tracer, result, &pair, &store, &kg_load_s);
-  result->Add("kg.load_s", Median(kg_load_s), "s");
-  const core::CeaffOptions options =
-      AlignOptions(spec, config, config.work_dir + "/traced.idx");
-
-  std::unique_ptr<LayerPass> cold =
-      RunLayers(pair, store, options, /*tracer=*/nullptr, result);
-  result->Add("mem.features_mb", cold->features_mb, "MB");
-  result->Add("mem.decide_mb", cold->decide_mb, "MB");
-  const la::Matrix cold_fused = std::move(cold->result.fused);
-  const std::vector<int64_t> cold_match = cold->result.match.target_of_source;
-  cold.reset();
-
-  core::CeaffOptions untraced_options = options;
-  untraced_options.export_index_path = config.work_dir + "/untraced.idx";
-  const int run_span = tracer->Begin("core.run");
-  int64_t stage_start = NowNs();
-  untraced_options.stage_callback = [&](const std::string& stage, bool) {
-    const int64_t now = NowNs();
-    tracer->Add("core.run." + stage, stage_start, now, run_span);
-    stage_start = now;
-  };
-  core::CeaffPipeline pipe(&pair, &store, untraced_options);
-  const int64_t run_start = NowNs();
-  auto run = pipe.Run();
-  const double run_s = SecondsSince(run_start);
-  tracer->End(run_span);
-
-  std::unique_ptr<LayerPass> pass =
-      RunLayers(pair, store, options, tracer, result);
-  const double pass_s =
-      static_cast<double>(pass->end_ns - pass->start_ns) * 1e-9;
-  uint64_t ok = 0;
-  if (result->Check(run.ok(),
-                    "CeaffPipeline::Run: " + run.status().ToString())) {
-    bool good = result->Check(SameMatrix(run->fused, pass->result.fused) &&
-                                  SameMatrix(run->fused, cold_fused),
-                              "layer-by-layer fused matrix differs from Run()");
-    good &= result->Check(
-        run->match.target_of_source == pass->result.match.target_of_source &&
-            run->match.target_of_source == cold_match,
-        "layer-by-layer matching differs from Run()");
-    good &= result->Check(run->accuracy >= spec.hits1_floor,
-                          "hits1 " + JsonNumber(run->accuracy) +
-                              " below floor " + JsonNumber(spec.hits1_floor));
-    if (good) ++ok;
-  }
-  result->Phase("align", 1, ok);
-  for (const auto& [name, seconds] : pass->seconds) {
-    result->Add(name, seconds, "s");
-  }
-  result->Add("text.string_pruned", pass->string_pruned ? 1.0 : 0.0, "count");
-  result->Add("align.cpu_util",
-              pass->cpu_s /
-                  (pass_s * static_cast<double>(options.num_threads)),
-              "ratio");
-  result->Add("align.traced_s", pass_s, "s");
-  result->Add("align.untraced_s", run_s, "s");
-  const double coverage = tracer->Coverage(pass->start_ns, pass->end_ns);
-  result->Check(coverage >= 0.95, "layer spans cover only " +
-                                      JsonNumber(coverage) +
-                                      " of the traced pass");
-  result->Add("trace.coverage", coverage, "ratio");
-  result->Add("trace.overhead_frac", (pass_s - run_s) / run_s, "ratio");
-  if (pass->gcn != nullptr) {
-    double train_s = 0.0;
-    for (const auto& [name, seconds] : pass->seconds) {
-      if (name == "embed.gcn_train_s") train_s = seconds;
-    }
-    result->Add("embed.gcn_epoch_ms",
-                train_s * 1e3 / static_cast<double>(options.gcn.epochs), "ms");
-  }
-
-  // ---- Probes after the pass: finer splits of single layers. ----
-  if (pass->gcn != nullptr) {
-    std::vector<double> forward_ms;
-    for (int i = 0; i < 5; ++i) {
-      ScopedSpan span(tracer, "embed.gcn_forward");
-      pass->gcn->Forward();
-      forward_ms.push_back(span.Stop() * 1e3);
-    }
-    result->Add("embed.gcn_forward_ms", Median(forward_ms), "ms");
+    result->Check(SameFile(probe_options.export_index_path,
+                           options.export_index_path),
+                  "export probe differs from Run()'s exported index");
   }
   {
-    ScopedSpan span(tracer, "matching.daa_traced");
-    std::vector<matching::DaaTraceEvent> events;
-    const matching::MatchResult match =
-        matching::DeferredAcceptanceTraced(pass->result.fused, &events);
-    result->Check(
-        match.target_of_source == pass->result.match.target_of_source,
-        "DeferredAcceptanceTraced disagrees with DAA");
-    result->Add("matching.proposals", static_cast<double>(events.size()),
-                "count");
-  }
-  {
-    auto index = serve::LoadAlignmentIndex(config.work_dir + "/traced.idx");
+    auto index = serve::LoadAlignmentIndex(options.export_index_path);
     if (result->Check(index.ok(), "load exported index: " +
                                       index.status().ToString())) {
       // Copying materialises the memory-mapped matrices the loader hands
@@ -455,9 +417,91 @@ void RunTraced(const RunConfig& config, const AlignSpec& spec,
       ann_options.num_centroids = options.ann_centroids;
       ScopedSpan span(tracer, "ann.train");
       const Status st = serve::BuildAnnSections(&owned, ann_options);
-      result->Check(st.ok(), "BuildAnnSections: " + st.ToString());
       result->Add("ann.train_s", span.Stop(), "s");
+      result->Check(st.ok(), "BuildAnnSections: " + st.ToString());
     }
+  }
+}
+
+/// The traced run. CeaffPipeline::Run() runs three times: first with a
+/// callback that only reads VmHWM at each stage boundary while it is still
+/// fresh (the memory metrics), then untraced as the reference, then traced,
+/// with one span per stage Run() reports. All three must agree byte for
+/// byte. Probes afterwards split the stages Run() reports as one.
+void RunTraced(const RunConfig& config, const AlignSpec& spec,
+               const KgInputs& inputs, Tracer* tracer, Result* result) {
+  kg::KgPair pair;
+  text::WordEmbeddingStore store(inputs.embedding_dim, kStoreSeed);
+  Loads loads(inputs, tracer, result);
+  for (int rep = 0; rep < kSetupReps; ++rep) loads.Load(&pair, &store);
+  loads.Finish();
+  result->Add("kg.load_s", Median(loads.kg_load_s()), "s");
+  const core::CeaffOptions options =
+      AlignOptions(spec, config, config.work_dir + "/traced.idx");
+
+  Tracer off(false);
+  core::CeaffOptions cold_options = options;
+  cold_options.export_index_path = config.work_dir + "/cold.idx";
+  const StagedRun cold = RunStaged(pair, store, cold_options, &off);
+  double features_mb = 0.0;
+  for (const auto& [name, mb] : cold.peak_mb) {
+    if (name == "text.string") features_mb = mb;
+  }
+  result->Add("mem.features_mb", features_mb, "MB");
+  result->Add("mem.decide_mb", PeakRssMb(), "MB");
+
+  core::CeaffOptions untraced_options = options;
+  untraced_options.export_index_path = config.work_dir + "/untraced.idx";
+  core::CeaffPipeline pipe(&pair, &store, untraced_options);
+  const int64_t untraced_start = NowNs();
+  auto untraced = pipe.Run();
+  const double untraced_s = SecondsSince(untraced_start);
+
+  const StagedRun traced = RunStaged(pair, store, options, tracer);
+  const double traced_s =
+      static_cast<double>(traced.end_ns - traced.start_ns) * 1e-9;
+  // Each run counts as succeeded when it ran and agrees with the untraced
+  // reference, which itself must clear the hits1 floor.
+  uint64_t ok = 0;
+  if (result->Check(untraced.ok(),
+                    "CeaffPipeline::Run: " + untraced.status().ToString()) &&
+      result->Check(untraced->accuracy >= spec.hits1_floor,
+                    "hits1 " + JsonNumber(untraced->accuracy) +
+                        " below floor " + JsonNumber(spec.hits1_floor))) {
+    ++ok;
+    for (const StagedRun* run : {&cold, &traced}) {
+      const bool same =
+          run->result.ok() && SameMatrix(run->result->fused, untraced->fused) &&
+          run->result->match.target_of_source ==
+              untraced->match.target_of_source;
+      if (result->Check(same, "staged Run() differs from the untraced Run()")) {
+        ++ok;
+      }
+    }
+  }
+  result->Check(SameFile(options.export_index_path,
+                         untraced_options.export_index_path),
+                "traced Run() exported a different index");
+  result->Phase("align", 3, ok);
+
+  result->Add("text.semantic_s", traced.Seconds("text.semantic"), "s");
+  result->Add("text.string_s", traced.Seconds("text.string"), "s");
+  result->Add("align.cpu_util",
+              traced.cpu_s /
+                  (traced_s * static_cast<double>(options.num_threads)),
+              "ratio");
+  result->Add("align.traced_s", traced_s, "s");
+  result->Add("align.untraced_s", untraced_s, "s");
+  const double coverage = tracer->Coverage(traced.start_ns, traced.end_ns);
+  result->Check(coverage >= 0.95, "stage spans cover only " +
+                                      JsonNumber(coverage) +
+                                      " of the traced Run()");
+  result->Add("trace.coverage", coverage, "ratio");
+  result->Add("trace.overhead_frac", (traced_s - untraced_s) / untraced_s,
+              "ratio");
+
+  if (ok == 3) {
+    RunProbes(pair, store, options, *traced.result, config, tracer, result);
   }
 }
 

@@ -2,7 +2,9 @@
 // and prints its record line and result line (see ../README.md).
 //
 //   ceaff_perfbench --workload NAME --seed N --seconds S --trace 0|1
-//                   --work_dir DIR [--threads T]
+//                   --work_dir DIR
+//
+// Compute threads are always the number of online CPUs.
 #include <unistd.h>
 
 #include <cstdio>
@@ -28,8 +30,7 @@ namespace {
 int Usage(const char* why) {
   std::fprintf(stderr,
                "ceaff_perfbench: %s\nusage: ceaff_perfbench --workload NAME "
-               "--seed N --seconds S --trace 0|1 --work_dir DIR "
-               "[--threads T]\n",
+               "--seed N --seconds S --trace 0|1 --work_dir DIR\n",
                why);
   return 2;
 }
@@ -55,7 +56,8 @@ const char* BuildProblem() {
 
 int main(int argc, char** argv) {
   perfbench::RunConfig config;
-  config.threads = static_cast<size_t>(sysconf(_SC_NPROCESSORS_ONLN));
+  const long online = sysconf(_SC_NPROCESSORS_ONLN);
+  config.threads = online > 0 ? static_cast<size_t>(online) : 1;
   for (int i = 1; i + 1 < argc; i += 2) {
     const std::string flag = argv[i];
     const std::string value = argv[i + 1];
@@ -69,8 +71,6 @@ int main(int argc, char** argv) {
       config.trace = value == "1";
     } else if (flag == "--work_dir") {
       config.work_dir = value;
-    } else if (flag == "--threads") {
-      config.threads = std::strtoull(value.c_str(), nullptr, 10);
     } else {
       return Usage(("unknown flag " + flag).c_str());
     }
@@ -79,8 +79,8 @@ int main(int argc, char** argv) {
   if (config.workload.empty() || config.work_dir.empty()) {
     return Usage("--workload and --work_dir are required");
   }
-  if (!(config.seconds > 0.0) || config.threads == 0) {
-    return Usage("--seconds and --threads must be positive");
+  if (!(config.seconds > 0.0)) {
+    return Usage("--seconds must be positive");
   }
   if (const char* problem = BuildProblem()) {
     std::fprintf(stderr, "ceaff_perfbench: refusing to report: %s\n",

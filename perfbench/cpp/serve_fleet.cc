@@ -41,7 +41,7 @@ constexpr size_t kK = 10;
 constexpr size_t kPoolSize = 1050;
 /// The router keeps no cache, so requests draw the pool uniformly.
 constexpr double kZipfExponent = 0.0;
-constexpr int kSetupReps = 3;
+constexpr int kSetupReps = 5;
 constexpr size_t kWarmupQueries = 128;
 constexpr size_t kCheckQueries = 96;
 /// Seconds between patch batches, and before the first one.

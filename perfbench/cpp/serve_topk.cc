@@ -35,7 +35,7 @@ constexpr double kRatePerS = 750.0;
 constexpr size_t kK = 10;
 constexpr size_t kPoolSize = 8000;
 constexpr double kZipfExponent = 0.5;
-constexpr int kSetupReps = 3;
+constexpr int kSetupReps = 5;
 constexpr size_t kWarmupQueries = 256;
 constexpr size_t kCheckQueries = 64;
 constexpr size_t kClassProbes = 100;

@@ -267,7 +267,7 @@ def self_check(args):
         bound = bounds[name]["bound"]
         if spread <= bound / 3:
             verdict = "steady"
-        elif spread <= bound or name == "setup_s":
+        elif spread <= bound:
             verdict = "within bound"
         else:
             verdict = "NOISY"
