@@ -79,9 +79,32 @@ std::string JsonNumber(double v) {
   return buf;
 }
 
+namespace {
+
+using NamedValues =
+    std::vector<std::pair<std::string, std::pair<double, std::string>>>;
+
+/// {"name": {"value": v, "unit": u}, ...} without the braces.
+std::string ValuesJson(const NamedValues& values) {
+  std::string json;
+  for (const auto& [name, vu] : values) {
+    if (!json.empty()) json += ", ";
+    json += JsonQuote(name) + ": {\"value\": " + JsonNumber(vu.first) +
+            ", \"unit\": " + JsonQuote(vu.second) + "}";
+  }
+  return json;
+}
+
+}  // namespace
+
 void Result::Add(const std::string& name, double value,
                  const std::string& unit) {
   metrics_.push_back({name, {value, unit}});
+}
+
+void Result::Detail(const std::string& name, double value,
+                    const std::string& unit) {
+  details_.push_back({name, {value, unit}});
 }
 
 bool Result::Check(bool ok, const std::string& what) {
@@ -159,6 +182,7 @@ std::string Result::RecordJson(const RunConfig& config) const {
   for (const auto& [key, value] : record_) {
     json += ", " + JsonQuote(key) + ": " + value;
   }
+  json += ", \"details\": {" + ValuesJson(details_) + "}";
   json += ", \"phases\": {" + phases_json_ + "}";
   json += ", \"checks\": " + std::to_string(checks_) +
           ", \"failed_checks\": [";
@@ -171,12 +195,7 @@ std::string Result::RecordJson(const RunConfig& config) const {
 }
 
 void Result::Print(const RunConfig& config) const {
-  std::string metrics;
-  for (const auto& [name, vu] : metrics_) {
-    if (!metrics.empty()) metrics += ", ";
-    metrics += JsonQuote(name) + ": {\"value\": " + JsonNumber(vu.first) +
-               ", \"unit\": " + JsonQuote(vu.second) + "}";
-  }
+  const std::string metrics = ValuesJson(metrics_);
   std::printf("{\"record\": %s}\n", RecordJson(config).c_str());
   std::printf(
       "{\"correct\": %s, \"attempted\": %llu, \"failed\": %llu, "

@@ -45,7 +45,15 @@ struct RunConfig {
 /// called from several threads.
 class Result {
  public:
+  /// A metric of the result line. Every workload reports the same names:
+  /// the manifest's end-to-end metrics untraced, its per-layer metrics
+  /// traced.
   void Add(const std::string& name, double value, const std::string& unit);
+
+  /// A workload-specific figure (a layer only this workload exercises, a
+  /// latency quantile, a throughput): printed in the record's "details"
+  /// object, not in the result line.
+  void Detail(const std::string& name, double value, const std::string& unit);
 
   /// Records a correctness check. A failed check is printed to stderr at
   /// once and turns the run's `correct` flag false.
@@ -76,6 +84,8 @@ class Result {
   mutable std::mutex mu_;
   std::vector<std::pair<std::string, std::pair<double, std::string>>>
       metrics_;
+  std::vector<std::pair<std::string, std::pair<double, std::string>>>
+      details_;
   std::vector<std::string> failed_checks_;
   size_t checks_ = 0;
   std::vector<std::pair<std::string, std::string>> record_;

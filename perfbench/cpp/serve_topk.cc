@@ -35,7 +35,7 @@ constexpr double kRatePerS = 750.0;
 constexpr size_t kK = 10;
 constexpr size_t kPoolSize = 8000;
 constexpr double kZipfExponent = 0.5;
-constexpr int kSetupReps = 5;
+constexpr int kSetupReps = 3;
 constexpr size_t kWarmupQueries = 256;
 constexpr size_t kCheckQueries = 64;
 constexpr size_t kClassProbes = 100;
@@ -48,6 +48,11 @@ const std::vector<double> kWeights = {0.3, 0.35, 0.35};
 
 struct Served {
   std::unique_ptr<serve::AlignmentService> service;
+  double kg_load_s = 0.0;
+  /// Index build, ANN training and save: what CeaffPipeline::ExportIndex
+  /// does for an align run.
+  double export_s = 0.0;
+  double ann_s = 0.0;
   double open_s = 0.0;
 };
 
@@ -57,10 +62,12 @@ struct Served {
 StatusOr<Served> SetUp(const KgInputs& inputs, const RunConfig& config,
                        const std::string& index_path,
                        const std::vector<Query>& warmup, Tracer* tracer) {
+  Served served;
   kg::KgPair pair;
   {
     ScopedSpan span(tracer, "kg.load");
     CEAFF_RETURN_IF_ERROR(kg::LoadKgPair(inputs.data_dir, &pair));
+    served.kg_load_s = span.Stop();
   }
   std::vector<uint32_t> test_src, test_tgt;
   core::TestIds(pair, &test_src, &test_tgt);
@@ -101,16 +108,19 @@ StatusOr<Served> SetUp(const KgInputs& inputs, const RunConfig& config,
     input.source_name_emb.L2NormalizeRows();
     input.target_name_emb.L2NormalizeRows();
     CEAFF_ASSIGN_OR_RETURN(index, serve::BuildAlignmentIndex(std::move(input)));
+    served.export_s += span.Stop();
   }
   {
     ScopedSpan span(tracer, "ann.train");
     CEAFF_RETURN_IF_ERROR(serve::BuildAnnSections(&index));
+    served.ann_s = span.Stop();
+    served.export_s += served.ann_s;
   }
   {
     ScopedSpan span(tracer, "serve.index_save");
     CEAFF_RETURN_IF_ERROR(serve::SaveAlignmentIndex(index, index_path));
+    served.export_s += span.Stop();
   }
-  Served served;
   {
     ScopedSpan span(tracer, "serve.open");
     serve::ServiceOptions options;  // the ceaff_serve defaults
@@ -177,7 +187,7 @@ void RunServeTopkWorkload(const RunConfig& config, Tracer* tracer,
 
   // ---- Set-up, several times; the last service is the one measured. ----
   Served served;
-  std::vector<double> setup_s, open_s;
+  std::vector<double> setup_s, kg_load_s, export_s, ann_s, open_s;
   uint64_t setup_ok = 0;
   for (int rep = 0; rep < kSetupReps; ++rep) {
     served = Served();
@@ -188,6 +198,9 @@ void RunServeTopkWorkload(const RunConfig& config, Tracer* tracer,
     setup_s.push_back(span.Stop());
     if (result->Check(s.ok(), "set-up: " + s.status().ToString())) {
       served = std::move(s).value();
+      kg_load_s.push_back(served.kg_load_s);
+      export_s.push_back(served.export_s);
+      ann_s.push_back(served.ann_s);
       open_s.push_back(served.open_s);
       ++setup_ok;
     }
@@ -330,52 +343,58 @@ void RunServeTopkWorkload(const RunConfig& config, Tracer* tracer,
     result->Add("hits1",
                 static_cast<double>(hits) / static_cast<double>(measured),
                 "ratio");
-    result->Add("topk_p50_ms", Quantile(stats.latency_ms, 0.50), "ms");
-    result->Add("topk_qps", Median(window_qps), "1/s");
-    result->Add("recall10", Mean(recall), "ratio");
+    // The unit operation is one TOPK request: p50 from its due time.
+    result->Add("op_ms", Quantile(stats.latency_ms, 0.50), "ms");
     result->Add("ok_frac", ok_frac, "ratio");
+    result->Detail("topk_qps", Median(window_qps), "1/s");
+    result->Detail("recall10", Mean(recall), "ratio");
     RecordLatency(stats, result);
     return;
   }
 
   // ---- Traced run: per-layer numbers. ----
+  result->Add("kg.load_s", Median(kg_load_s), "s");
+  result->Add("core.export_s", Median(export_s), "s");
+  result->Add("ann.train_s", Median(ann_s), "s");
   result->Add("serve.open_s", Median(open_s), "s");
-  result->Add("serve.cache_hit_frac", snap.topk.cache_hit_rate, "ratio");
-  result->Add("serve.shed", static_cast<double>(snap.topk.shed), "count");
-  result->Add("serve.rejected", static_cast<double>(snap.topk.rejected),
-              "count");
-  result->Add("serve.degraded_frac",
-              tier_total > 0 ? (tiers[1] + tiers[2]) / tier_total : 0.0,
-              "ratio");
-  result->Add("serve.cpu_util",
+  result->Add("cpu_util",
               closed_cpu / (closed_wall * static_cast<double>(config.threads)),
+              "ratio");
+  result->Detail("serve.cache_hit_frac", snap.topk.cache_hit_rate, "ratio");
+  result->Detail("serve.shed", static_cast<double>(snap.topk.shed), "count");
+  result->Detail("serve.rejected", static_cast<double>(snap.topk.rejected),
+              "count");
+  result->Detail("serve.degraded_frac",
+              tier_total > 0 ? (tiers[1] + tiers[2]) / tier_total : 0.0,
               "ratio");
   // Computed from the index shape, not measured: every target's fused
   // dense row (name + structural embedding, float32) is read once per
   // exhaustive scan.
-  result->Add("serve.scan_bytes_per_query",
+  result->Detail("serve.scan_bytes_per_query",
               static_cast<double>(snapshot->num_targets() *
                                   (snapshot->target_name_emb.cols() +
                                    snapshot->target_struct_emb.cols()) *
                                   sizeof(float)),
               "B");
-  result->Add("gen.queue_wait_ms", Median(stats.queue_wait_ms), "ms");
-  result->Add("gen.late_max_ms", stats.late_max_ms, "ms");
+  result->Detail("gen.queue_wait_ms", Median(stats.queue_wait_ms), "ms");
+  result->Detail("gen.late_max_ms", stats.late_max_ms, "ms");
 
   // Per-class service time on queries the cache has never seen.
   {
     Rng probe_rng(config.seed * 6151 + 7);
     const std::vector<Query> probes =
         MakeQueries(snapshot->source_names, probe_rows, &probe_rng);
-    std::vector<double> known_ms, unseen_ms;
+    std::vector<double> all_ms, known_ms, unseen_ms;
     for (const Query& q : probes) {
       ScopedSpan span(tracer, q.known ? "serve.topk_known" : "serve.topk_unseen");
       const bool ok = service.TopK(q.name, kK).ok();
-      (q.known ? known_ms : unseen_ms).push_back(span.Stop() * 1e3);
+      all_ms.push_back(span.Stop() * 1e3);
+      (q.known ? known_ms : unseen_ms).push_back(all_ms.back());
       result->Check(ok, "class probe '" + q.name + "' failed");
     }
-    result->Add("serve.topk_known_ms", Median(known_ms), "ms");
-    result->Add("serve.topk_unseen_ms", Median(unseen_ms), "ms");
+    result->Add("serve.topk_ms", Median(all_ms), "ms");
+    result->Detail("serve.topk_known_ms", Median(known_ms), "ms");
+    result->Detail("serve.topk_unseen_ms", Median(unseen_ms), "ms");
   }
 
   // Tracing overhead at request grain: the same uncached scans, first

@@ -34,46 +34,18 @@ BENCH_DIR = os.path.join(ROOT, "perfbench")
 BUILD_DIR = os.path.join(ROOT, ".bench_build", "perfbench")
 BINARY = os.path.join(BUILD_DIR, "ceaff_perfbench")
 WORK_ROOT = os.path.join(ROOT, ".bench_work")
-# The driver process itself must end within 180 s of starting a run.
+# One run of this script must end within 180 s; the workload process gets
+# this much of it.
 RUN_TIMEOUT_S = 170
 
-# End-to-end metrics each workload reports with --trace 0.
-E2E = {
-    "align_dense": ["setup_s", "align_s", "peak_rss_mb", "hits1", "ok_frac"],
-    "align_text": ["setup_s", "align_s", "peak_rss_mb", "hits1", "ok_frac"],
-    "serve_topk": ["setup_s", "peak_rss_mb", "hits1", "topk_p50_ms",
-                   "topk_qps", "recall10", "ok_frac"],
-    "serve_fleet": ["setup_s", "peak_rss_mb", "hits1", "topk_p99_ms",
-                    "recall10", "freshness_s", "ok_frac"],
-}
+WORKLOADS = ("align_dense", "align_text", "serve_topk", "serve_fleet")
 
-_ALIGN_LAYERS = [
-    "kg.load_s", "text.semantic_s", "text.string_s", "text.string_pruned",
-    "fusion.fuse_s", "matching.daa_s", "matching.proposals",
-    "eval.ranking_s", "core.export_s", "ann.train_s", "mem.features_mb",
-    "mem.decide_mb", "align.cpu_util", "align.traced_s", "align.untraced_s",
-    "trace.coverage", "trace.overhead_frac",
-]
-# Per-layer metrics each workload reports with --trace 1.
-LAYERS = {
-    "align_dense": _ALIGN_LAYERS + [
-        "kg.adjacency_s", "embed.gcn_train_s", "embed.gcn_epoch_ms",
-        "embed.gcn_forward_ms", "la.struct_cosine_s"],
-    "align_text": _ALIGN_LAYERS,
-    "serve_topk": [
-        "serve.open_s", "serve.topk_known_ms", "serve.topk_unseen_ms",
-        "serve.scan_bytes_per_query", "serve.cpu_util",
-        "serve.cache_hit_frac", "serve.shed", "serve.rejected",
-        "serve.degraded_frac", "gen.queue_wait_ms", "gen.late_max_ms",
-        "trace.coverage", "trace.overhead_frac"],
-    "serve_fleet": [
-        "router.start_s", "router.topk_ms", "router.failovers",
-        "router.degraded", "router.reload_s", "router.reload_stall_ms",
-        "ann.fallback_frac", "ann.probes_per_query", "delta.append_ms",
-        "delta.repair_s", "delta.verify_s", "delta.publish_s",
-        "delta.dirty_rows", "gen.queue_wait_ms", "gen.late_max_ms",
-        "trace.coverage", "trace.overhead_frac"],
-}
+
+def load_spec():
+    """BENCHMARK.json: the metric names every workload reports (end-to-end
+    with --trace 0, per-layer with --trace 1), bounds and run length."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return json.load(f)
 
 
 def log(msg):
@@ -179,7 +151,7 @@ def run_workload(workload, seed, seconds, trace):
     return record, result
 
 
-def validate(workload, trace, result):
+def validate(spec, trace, result):
     """Problems with the result's shape; empty when it is well formed."""
     problems = []
     if set(result) != {"correct", "attempted", "failed", "metrics"}:
@@ -188,7 +160,8 @@ def validate(workload, trace, result):
         problems.append("attempted must be a whole number >= 1")
     if not isinstance(result.get("failed"), int):
         problems.append("failed must be a whole number")
-    want = LAYERS[workload] if trace else E2E[workload]
+    want = {m["name"]: m["unit"]
+            for m in spec["per_layer" if trace else "end_to_end"]}
     got = result.get("metrics", {})
     if sorted(got) != sorted(want):
         problems.append("metrics %s, expected %s"
@@ -197,14 +170,18 @@ def validate(workload, trace, result):
         v = m.get("value")
         if not isinstance(v, (int, float)) or not math.isfinite(v):
             problems.append("metric %s is not a finite number" % name)
+        if name in want and m.get("unit") != want[name]:
+            problems.append("metric %s has unit %r, expected %r"
+                            % (name, m.get("unit"), want[name]))
     return problems
 
 
 def run_once(args):
-    if args.workload not in E2E:
+    if args.workload not in WORKLOADS:
         log("unknown workload %r (one of %s)" % (args.workload,
-                                               ", ".join(sorted(E2E))))
+                                               ", ".join(WORKLOADS)))
         return 2
+    spec = load_spec()
     if not build():
         return 2
     try:
@@ -213,7 +190,7 @@ def run_once(args):
     except (RuntimeError, ValueError, KeyError) as e:
         log(str(e))
         return 1
-    problems = validate(args.workload, args.trace, result)
+    problems = validate(spec, args.trace, result)
     for p in problems:
         log("malformed result: " + p)
     if problems:
@@ -226,24 +203,18 @@ def run_once(args):
     return 0 if result["correct"] else 1
 
 
-def load_bounds():
-    path = os.path.join(ROOT, "BENCHMARK.json")
-    with open(path) as f:
-        spec = json.load(f)
-    return {m["name"]: m for m in spec["end_to_end"]}, spec["run_seconds"]
-
-
 def self_check(args):
     """Runs one workload on several seeds and prints each end-to-end
     metric's spread (interquartile range over median) next to its bound."""
-    if args.workload not in E2E:
+    if args.workload not in WORKLOADS:
         log("unknown workload %r" % args.workload)
         return 2
-    bounds, run_seconds = load_bounds()
-    seconds = args.seconds if args.seconds_given else run_seconds
+    spec = load_spec()
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    seconds = args.seconds if args.seconds_given else spec["run_seconds"]
     if not build():
         return 2
-    values = {name: [] for name in E2E[args.workload]}
+    values = {name: [] for name in bounds}
     for i in range(args.runs):
         seed = args.seed + i
         start = time.time()
@@ -264,7 +235,7 @@ def self_check(args):
     for name, vals in values.items():
         q1, med, q3 = statistics.quantiles(vals, n=4)
         spread = (q3 - q1) / med if med else float("inf")
-        bound = bounds[name]["bound"]
+        bound = bounds[name]
         if spread <= bound / 3:
             verdict = "steady"
         elif spread <= bound:
