@@ -1,5 +1,6 @@
 #include "ceaff/common/flags.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "ceaff/common/string_util.h"
@@ -68,6 +69,18 @@ bool FlagParser::GetBool(const std::string& name, bool fallback) const {
   if (it == flags_.end()) return fallback;
   const std::string& v = it->second;
   return v == "true" || v == "1" || v == "yes" || v == "on";
+}
+
+bool FlagParser::GetSize(const std::string& cmd, const std::string& name,
+                         size_t fallback, size_t min, size_t* out) const {
+  const int64_t value = GetInt(name, static_cast<int64_t>(fallback));
+  if (value < static_cast<int64_t>(min)) {
+    std::fprintf(stderr, "%s: --%s must be >= %zu\n", cmd.c_str(),
+                 name.c_str(), min);
+    return false;
+  }
+  *out = static_cast<size_t>(value);
+  return true;
 }
 
 std::vector<std::string> FlagParser::UnreadFlags() const {

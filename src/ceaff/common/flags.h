@@ -1,6 +1,8 @@
 #ifndef CEAFF_COMMON_FLAGS_H_
 #define CEAFF_COMMON_FLAGS_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,6 +33,12 @@ class FlagParser {
   double GetDouble(const std::string& name, double fallback) const;
   int64_t GetInt(const std::string& name, int64_t fallback) const;
   bool GetBool(const std::string& name, bool fallback) const;
+
+  /// Reads a non-negative integer flag that must be >= `min`. On a smaller
+  /// value prints "<cmd>: --<name> must be >= <min>" to stderr and returns
+  /// false, leaving `*out` untouched; the CLI then exits 2 (usage error).
+  bool GetSize(const std::string& cmd, const std::string& name,
+               size_t fallback, size_t min, size_t* out) const;
 
   /// Flags that were parsed but never queried — typo detection.
   std::vector<std::string> UnreadFlags() const;

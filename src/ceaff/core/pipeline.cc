@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "ceaff/common/logging.h"
-#include "ceaff/common/thread_pool.h"
 #include "ceaff/common/timer.h"
 #include "ceaff/core/checkpoint.h"
 #include "ceaff/la/kernels.h"
@@ -16,48 +15,6 @@
 #include "ceaff/text/ngram_similarity.h"
 
 namespace ceaff::core {
-
-namespace {
-
-/// The pipeline's shared kernel runtime: one pool for every stage (created
-/// only when the caller asked for threads) plus the KernelContext that
-/// threads it — with the run's block sizes and cancellation token — through
-/// each kernel call. Kernels poll the token per row panel, so a deadline
-/// interrupts even a single huge similarity matrix mid-build.
-struct KernelRuntime {
-  std::unique_ptr<ThreadPool> pool;
-  std::unique_ptr<la::KernelAutotuner> tuner;
-  la::KernelContext ctx;
-};
-
-KernelRuntime MakeKernelRuntime(const CeaffOptions& options) {
-  KernelRuntime rt;
-  if (options.num_threads > 1) {
-    rt.pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-  rt.ctx.pool = rt.pool.get();
-  rt.ctx.opts.OverrideBlock(options.block_size);
-  rt.ctx.cancel = options.cancel;
-  if (options.autotune != la::AutotuneMode::kOff) {
-    la::AutotuneOptions tune_options;
-    tune_options.mode = options.autotune;
-    tune_options.cache_dir = options.tune_cache_dir;
-    rt.tuner = std::make_unique<la::KernelAutotuner>(tune_options);
-    const Status s = rt.tuner->Init();
-    if (s.ok()) {
-      rt.ctx.tuner = rt.tuner.get();
-    } else {
-      // A broken tune cache must never fail an align run: warn and run
-      // with the static blocking instead.
-      CEAFF_LOG(Warning) << "autotune disabled for this run: "
-                         << s.ToString();
-      rt.tuner.reset();
-    }
-  }
-  return rt;
-}
-
-}  // namespace
 
 la::Matrix GatherRows(const la::Matrix& emb,
                       const std::vector<uint32_t>& ids) {
@@ -116,7 +73,8 @@ StatusOr<CeaffFeatures> CeaffPipeline::GenerateFeatures() {
         "alignment references an entity id outside its KG");
   }
   WallTimer timer;
-  KernelRuntime rt = MakeKernelRuntime(options_);
+  la::KernelRuntime rt(options_.num_threads, options_.block_size,
+                       options_.cancel);
   CeaffFeatures features;
   std::vector<uint32_t> test_src, test_tgt, seed_src, seed_tgt;
   TestIds(*pair_, &test_src, &test_tgt);
@@ -515,7 +473,8 @@ StatusOr<CeaffResult> CeaffPipeline::RunOnFeatures(
   result.string_sim = features.string_sim;
   result.gcn_final_loss = features.gcn_final_loss;
   result.seconds_features = features.seconds;
-  KernelRuntime rt = MakeKernelRuntime(options_);
+  la::KernelRuntime rt(options_.num_threads, options_.block_size,
+                       options_.cancel);
   CEAFF_RETURN_IF_ERROR(CheckCancel(options_.cancel, "fusion stage"));
   CEAFF_RETURN_IF_ERROR(FuseFeatures(features, &result));
   if (options_.csls_k > 0) {

@@ -9,47 +9,15 @@
 #include "ceaff/common/durable_io.h"
 #include "ceaff/common/failpoint.h"
 #include "ceaff/common/logging.h"
-#include "ceaff/common/thread_pool.h"
 #include "ceaff/common/timer.h"
 #include "ceaff/delta/delta_journal.h"
+#include "ceaff/la/kernels.h"
 #include "ceaff/matching/matching.h"
 #include "ceaff/serve/ann_build.h"
 
 namespace ceaff::delta {
 
 namespace {
-
-struct Runtime {
-  std::unique_ptr<ThreadPool> pool;
-  std::unique_ptr<la::KernelAutotuner> tuner;
-  la::KernelContext ctx;
-};
-
-Runtime MakeRuntime(const DeltaApplyOptions& options) {
-  Runtime rt;
-  if (options.num_threads > 1) {
-    rt.pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-  rt.ctx.pool = rt.pool.get();
-  rt.ctx.opts.OverrideBlock(options.block_size);
-  rt.ctx.cancel = options.cancel;
-  if (options.autotune != la::AutotuneMode::kOff) {
-    la::AutotuneOptions tune_options;
-    tune_options.mode = options.autotune;
-    tune_options.cache_dir = options.tune_cache_dir;
-    rt.tuner = std::make_unique<la::KernelAutotuner>(tune_options);
-    const Status s = rt.tuner->Init();
-    if (s.ok()) {
-      rt.ctx.tuner = rt.tuner.get();
-    } else {
-      // A broken tune cache must never fail a delta cycle.
-      CEAFF_LOG(Warning) << "autotune disabled for this cycle: "
-                         << s.ToString();
-      rt.tuner.reset();
-    }
-  }
-  return rt;
-}
 
 Status WriteQuarantineMarker(const std::string& journal_dir,
                              const Status& verdict) {
@@ -117,7 +85,8 @@ StatusOr<DeltaApplyReport> ApplyDelta(const DeltaApplyOptions& options) {
     return report;
   }
 
-  const Runtime rt = MakeRuntime(options);
+  const la::KernelRuntime rt(options.num_threads, options.block_size,
+                            options.cancel);
   WallTimer timer;
   StatusOr<RepairOutcome> outcome =
       ApplyPatchesToState(state, records, rt.ctx);
@@ -175,7 +144,8 @@ StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options) {
   CEAFF_ASSIGN_OR_RETURN(const std::vector<PatchRecord> records,
                          journal->ReadAfter(state.watermark));
 
-  const Runtime rt = MakeRuntime(options);
+  const la::KernelRuntime rt(options.num_threads, options.block_size,
+                            options.cancel);
   WallTimer timer;
   if (!records.empty()) {
     // Patch stage only — every derived quantity is recomputed from

@@ -377,13 +377,15 @@ la::Matrix ExtendInputFeatures(const la::Matrix& x,
                                uint64_t gcn_seed) {
   if (g.num_entities() == x.rows()) return x;
   la::Matrix out(g.num_entities(), x.cols());
-  std::memcpy(out.data(), x.data(), x.size() * sizeof(float));
+  // std::copy, not memcpy: an empty x (structural features disabled) has
+  // null data(), which memcpy must not be handed even for zero bytes.
+  std::copy(x.data(), x.data() + x.size(), out.data());
   for (size_t e = x.rows(); e < g.num_entities(); ++e) {
     const std::string& uri = g.entity_uri(static_cast<uint32_t>(e));
     Rng rng(Rng::SplitMix64(HashBytes(uri.data(), uri.size()) ^ gcn_seed));
     la::Matrix row = la::Matrix::TruncatedNormal(1, x.cols(), 1.0f, &rng);
     row.L2NormalizeRows();
-    std::memcpy(out.row(e), row.data(), x.cols() * sizeof(float));
+    std::copy(row.data(), row.data() + x.cols(), out.row(e));
   }
   return out;
 }

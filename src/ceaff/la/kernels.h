@@ -2,6 +2,7 @@
 #define CEAFF_LA_KERNELS_H_
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,8 +37,6 @@ namespace ceaff::la {
 /// O(d · eps_f32) per element (the parity tests in tests/la/kernels_test.cc
 /// pin the bound).
 
-class KernelAutotuner;
-
 /// Blocking parameters. Defaults target a ~1 MiB L2: a column panel of
 /// `col_block` B-rows x 128 floats (64 KiB) stays resident while a row
 /// panel of A streams over it.
@@ -46,38 +45,39 @@ struct KernelOptions {
   size_t row_block = 64;
   /// Columns of the output (rows of B in A·Bᵀ) per cache panel.
   size_t col_block = 128;
-  /// Minimum output rows (or columns, for column-partitioned kernels) a
-  /// parallel task may own. ParallelPanels raises the panel size to this
-  /// floor so small shapes stop over-partitioning, and when one panel
-  /// covers the whole output the sweep runs inline on the caller's thread
-  /// — no pool dispatch at all. A grain at least as large as the output
-  /// therefore serializes the kernel, which is what the autotuner selects
-  /// on boxes where the fan-out measurably loses (oversubscribed cores,
-  /// L2 thrash). Partitioning only: the grain can never change output
-  /// bits.
-  size_t grain = 8;
   /// Zero keeps every default; a non-zero value overrides col_block and
   /// scales row_block to match (the CLI's --block_size plumbs in here).
   void OverrideBlock(size_t block);
 };
 
 /// Shared context threaded through every kernel call site: the worker pool
-/// (null = sequential), the blocking parameters, an optional cooperative
-/// cancellation token polled once per row panel, and an optional autotuner
-/// consulted at kernel entry for measured per-shape blocking (la/autotune.h
-/// — the GEMM/SpMM family only; a null tuner keeps `opts` as-is). Not
-/// owned; the context must outlive the kernel call.
+/// (null = sequential), the blocking parameters and an optional cooperative
+/// cancellation token polled once per row panel. Not owned; the context
+/// must outlive the kernel call.
 struct KernelContext {
   ThreadPool* pool = nullptr;
   KernelOptions opts;
   const CancellationToken* cancel = nullptr;
-  KernelAutotuner* tuner = nullptr;
 
   /// Cancellation verdict after (or before) a kernel: OK when no token is
   /// armed or it has not fired.
   Status CheckCancelled(const char* what) const {
     return CheckCancel(cancel, what);
   }
+};
+
+/// A KernelContext together with the pool it points at: one pool for every
+/// kernel of a run (created only when num_threads > 1), the blocking from
+/// `block_size` (KernelOptions::OverrideBlock) and the run's cancellation
+/// token. Kernels poll the token per row panel, so a deadline interrupts
+/// even a single huge similarity matrix mid-build. The align pipeline and
+/// the delta cycle each build one per run.
+struct KernelRuntime {
+  KernelRuntime(size_t num_threads, size_t block_size,
+                const CancellationToken* cancel);
+
+  std::unique_ptr<ThreadPool> pool;
+  KernelContext ctx;
 };
 
 // ---------------------------------------------------------------------------

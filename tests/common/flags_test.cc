@@ -52,6 +52,21 @@ TEST(FlagParserTest, NumericFallbacks) {
   EXPECT_DOUBLE_EQ(p.GetDouble("missing", 1.5), 1.5);
 }
 
+TEST(FlagParserTest, GetSizeRejectsValuesBelowTheMinimum) {
+  FlagParser p = ParseArgs({"--threads", "-1", "--block_size=0", "--n=7"});
+  size_t out = 99;
+  EXPECT_FALSE(p.GetSize("delta", "threads", 1, 1, &out));
+  EXPECT_EQ(out, 99u);  // untouched on error
+  EXPECT_TRUE(p.GetSize("delta", "block_size", 5, 0, &out));
+  EXPECT_EQ(out, 0u);
+  EXPECT_FALSE(p.GetSize("delta", "block_size", 5, 1, &out));
+  EXPECT_TRUE(p.GetSize("delta", "n", 0, 7, &out));
+  EXPECT_EQ(out, 7u);
+  EXPECT_TRUE(p.GetSize("delta", "missing", 3, 1, &out));
+  EXPECT_EQ(out, 3u);
+  EXPECT_TRUE(p.UnreadFlags().empty());
+}
+
 TEST(FlagParserTest, DoubleDashEndsFlagParsing) {
   FlagParser p = ParseArgs({"--a=1", "--", "--not-a-flag"});
   EXPECT_TRUE(p.Has("a"));

@@ -247,10 +247,9 @@ TEST(KernelSpmmTest, FusedSweepMatchesReferenceAtEveryThreadCount) {
   }
 }
 
-// The tuner's serialize-grain candidate sets grain >= rows so the whole
-// kernel runs as one inline panel without pool dispatch. That must be a
-// pure scheduling change: bit-identical to the fanned-out result, for
-// dense and sparse kernels alike.
+// A row block >= rows makes the whole kernel one inline panel without
+// pool dispatch. That must be a pure scheduling change: bit-identical to
+// the fanned-out result, for dense and sparse kernels alike.
 TEST(KernelSpmmTest, SerializeGrainIsBitIdenticalToFanOut) {
   const SparseMatrix a = RandomSparse(90, 110, 700, 21);
   const Matrix x = RandomMatrix(110, 13, 22);
@@ -261,7 +260,7 @@ TEST(KernelSpmmTest, SerializeGrainIsBitIdenticalToFanOut) {
   KernelContext fan;
   fan.pool = &pool;
   KernelContext serial = fan;
-  serial.opts.grain = 1u << 20;  // >= rows: single inline panel
+  serial.opts.OverrideBlock(1u << 20);  // >= rows: single inline panel
 
   EXPECT_TRUE(BitIdentical(SpMMK(fan, a, x), SpMMK(serial, a, x)));
   EXPECT_TRUE(BitIdentical(MatMulBTK(fan, da, db), MatMulBTK(serial, da, db)));

@@ -66,8 +66,6 @@ if [[ "$skip_sanitize" == 0 ]]; then
   ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" -L ann
   echo "==> Delta-ingestion suite under ASan"
   ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" -L delta
-  echo "==> Autotuner suite under ASan"
-  ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" -L tune
 fi
 
 if [[ "$skip_tsan" == 0 ]]; then
@@ -99,16 +97,15 @@ if [[ "$skip_smoke" == 0 ]]; then
   ctest --test-dir "$repo/build" --output-on-failure -L bench
   kbench="$(mktemp -d)"
   trap 'rm -rf "$kbench"' EXIT
-  # Full (tracked) shapes with --autotune so the rows line up with the
-  # committed BENCH_kernels.json; the run itself exits non-zero on any
+  # Full (tracked) shapes so the rows line up with the committed
+  # BENCH_kernels.json; the run itself exits non-zero on any
   # kernel-vs-naive divergence (the --smoke perf gate ran as part of
   # `-L bench` above). The JSON must also record a clean parity bill, at
-  # least one kernel row, and at least one autotuned row.
-  "$repo/build/bench/micro_kernels" --autotune \
-    --out "$kbench/BENCH_kernels.json"
+  # least one dense kernel row and at least one SpMM kernel row.
+  "$repo/build/bench/micro_kernels" --out "$kbench/BENCH_kernels.json"
   grep -q '"parity_failures": 0' "$kbench/BENCH_kernels.json"
   grep -q '"kernel": "cosine_kernel"' "$kbench/BENCH_kernels.json"
-  grep -q '_tuned"' "$kbench/BENCH_kernels.json"
+  grep -q '"kernel": "spmm_kernel"' "$kbench/BENCH_kernels.json"
 
   echo "==> Perf-regression gate: fresh run vs committed BENCH_kernels.json"
   # speedup_vs_naive is machine-relative, so the committed baseline still
