@@ -118,23 +118,37 @@ class GcnAligner {
   size_t NumParameters() const;
 
  private:
-  struct ForwardCache {
-    la::Matrix ax;    // A · X
-    la::Matrix pre;   // A · X · W1 (pre-activation)
-    la::Matrix h1;    // ReLU(pre)
-    la::Matrix ah1;   // A · H1
+  /// One KG's epoch buffers, sized by the kernels on first use and reused
+  /// by every later epoch of a Train() call. The propagation-only default
+  /// touches only ax, dz, g and dx; pre, h1 and ah1 serve the weight
+  /// transform (h1 only with its ReLU — without it H1 is `pre` itself).
+  struct Workspace {
+    la::Matrix ax;   // A · X
+    la::Matrix pre;  // A · X · W1 (pre-activation)
+    la::Matrix h1;   // ReLU(pre)
+    la::Matrix ah1;  // A · H1
+    la::Matrix dz;   // dL/dZ
+    la::Matrix g;    // backward intermediate (Aᵀ·dZ, dZ·W2ᵀ or dH1·W1ᵀ)
+    la::Matrix dh1;  // dL/dH1
+    la::Matrix dx;   // dL/dX
+    la::Matrix dw;   // this KG's term of dL/dW1 or dL/dW2
   };
 
+  /// Z = A · H1 (· W2), leaving the activations the backward pass reads
+  /// in `ws`.
   void ForwardKg(const la::SparseMatrix& a, const la::Matrix& x,
-                 ForwardCache* cache, la::Matrix* z) const;
-  /// Accumulates dL/dW1, dL/dW2 (and optionally dL/dX) for one KG given
-  /// dL/dZ.
-  void BackwardKg(const la::SparseMatrix& a, const la::Matrix& x,
-                  const ForwardCache& cache, const la::Matrix& dz,
-                  la::Matrix* dw1, la::Matrix* dw2, la::Matrix* dx) const;
+                 Workspace* ws, la::Matrix* z) const;
+  /// From ws->dz, adds this KG's terms to dL/dW1 and dL/dW2 (weight
+  /// transform only) and, with `want_dx`, writes dL/dX to ws->dx; `at` is
+  /// the KG's Aᵀ.
+  void BackwardKg(const la::SparseMatrix& at, bool want_dx, Workspace* ws,
+                  la::Matrix* dw1, la::Matrix* dw2) const;
 
   GcnOptions options_;
   la::SparseMatrix a1_, a2_;
+  // Aᵀ as CSR (the adjacency is not symmetric): every backward product is
+  // a row-parallel SpMMK.
+  la::SparseMatrix at1_, at2_;
   la::Matrix x1_, x2_;  // input features (trainable when train_inputs)
   la::Matrix w1_, w2_;  // shared layer weights
   la::Matrix z1_, z2_;  // output embeddings
@@ -161,12 +175,16 @@ std::vector<NegativePair> SampleHardNegatives(
     const la::Matrix& z2, size_t k, size_t topk, Rng* rng);
 
 /// Margin ranking loss (Eq. 1) and its gradient with respect to the two
-/// embedding matrices. Returns the summed loss; `dz1`/`dz2` (same shapes as
-/// z1/z2) receive the gradients (overwritten, not accumulated).
+/// embedding matrices. Returns the summed loss; `dz1`/`dz2` take z1/z2's
+/// shapes and receive the gradients (overwritten, not accumulated).
+/// Distances and the gradient rows run in parallel over `kernel`'s pool
+/// (null = sequential); loss and gradients are bit-identical at any thread
+/// count.
 double MarginRankingLossGrad(const la::Matrix& z1, const la::Matrix& z2,
                              const std::vector<kg::AlignmentPair>& positives,
                              const std::vector<NegativePair>& negatives,
-                             float margin, la::Matrix* dz1, la::Matrix* dz2);
+                             float margin, la::Matrix* dz1, la::Matrix* dz2,
+                             const la::KernelContext* kernel = nullptr);
 
 }  // namespace ceaff::embed
 

@@ -43,17 +43,83 @@ inline float DotLanes(const float* a, const float* b, size_t d) {
   return sum;
 }
 
-/// Runs fn(begin, end) over the fixed partition of [0, n) into panels of
-/// max(block, kGrain), parallel across ctx.pool. The grain floor keeps
-/// small shapes from splitting into tasks too fine to pay for their
-/// dispatch; when a single panel covers n the sweep runs inline on the
-/// caller's thread, skipping the pool entirely. The partition depends
-/// only on n, `block` and the grain — never the thread count — so each
-/// output element is produced by exactly one task whose internal order is
-/// thread-count independent. Once the context's
-/// cancellation token fires, remaining panels are skipped — callers must
-/// surface the error via KernelContext::CheckCancelled and discard the
-/// (partial) output.
+/// Per-row inverse L2 norms with the same lane-split accumulation as the
+/// dot kernels; exactly 0 for zero-norm rows so cosine rows/columns of a
+/// zero vector come out as exact zeros, never NaN.
+std::vector<float> InverseRowNorms(const KernelContext& ctx, const Matrix& m) {
+  std::vector<float> inv(m.rows(), 0.0f);
+  ParallelPanels(ctx, m.rows(), ctx.opts.row_block, [&](size_t r0, size_t r1) {
+    for (size_t i = r0; i < r1; ++i) {
+      const float* p = m.row(i);
+      const float sq = DotLanes(p, p, m.cols());
+      inv[i] = sq > 0.0f ? 1.0f / std::sqrt(sq) : 0.0f;
+    }
+  });
+  return inv;
+}
+
+/// Gives `out` the shape rows x cols. Returns true when that took a fresh
+/// (zero-filled) allocation; false when the existing buffer was kept, in
+/// which case its contents are stale and an accumulating kernel must zero
+/// each output row before it sums into it.
+bool Reshape(Matrix* out, size_t rows, size_t cols) {
+  if (out->rows() == rows && out->cols() == cols) return false;
+  *out = Matrix(rows, cols);
+  return true;
+}
+
+/// Shared core of MatMulBTK / CosineSimilarityK: out = a·bᵀ with an
+/// optional per-row/per-column scale (null = unscaled). B is walked in
+/// col_block-row panels so one panel stays L2-resident while a row panel
+/// of A streams over it. Every output element is assigned, never summed
+/// into, so a reused buffer needs no zeroing.
+void BlockedMatMulBT(const KernelContext& ctx, const Matrix& a,
+                     const Matrix& b, const float* scale_a,
+                     const float* scale_b, Matrix* out_matrix) {
+  CEAFF_CHECK(a.cols() == b.cols())
+      << "matmulBT shape mismatch: " << a.rows() << "x" << a.cols() << " * ("
+      << b.rows() << "x" << b.cols() << ")^T";
+  Reshape(out_matrix, a.rows(), b.rows());
+  Matrix& out = *out_matrix;
+  const size_t d = a.cols();
+  const size_t col_block = std::max<size_t>(1, ctx.opts.col_block);
+  ParallelPanels(ctx, a.rows(), ctx.opts.row_block, [&](size_t r0, size_t r1) {
+    for (size_t c0 = 0; c0 < b.rows(); c0 += col_block) {
+      const size_t c1 = std::min(b.rows(), c0 + col_block);
+      for (size_t i = r0; i < r1; ++i) {
+        const float* ai = a.row(i);
+        float* oi = out.row(i);
+        const float sa = scale_a != nullptr ? scale_a[i] : 1.0f;
+        for (size_t j = c0; j < c1; ++j) {
+          float v = DotLanes(ai, b.row(j), d);
+          if (scale_a != nullptr) v = (v * sa) * scale_b[j];
+          oi[j] = v;
+        }
+      }
+    }
+  });
+}
+
+/// Mean of the k largest of `values` (consumed in place): partial-sorted
+/// descending, then summed in that order. Identical multiset + identical
+/// summation order = bit-identical result between the naive and blocked
+/// CSLS implementations.
+double TopKMeanSortedDesc(std::vector<float>* values, size_t k) {
+  k = std::min(k, values->size());
+  if (k == 0) return 0.0;
+  std::partial_sort(values->begin(),
+                    values->begin() + static_cast<long>(k), values->end(),
+                    std::greater<float>());
+  double sum = 0.0;
+  for (size_t i = 0; i < k; ++i) sum += (*values)[i];
+  return sum / static_cast<double>(k);
+}
+
+}  // namespace
+
+// The grain floor keeps small shapes from splitting into tasks too fine to
+// pay for their dispatch; a single panel runs inline on the caller's
+// thread, skipping the pool entirely.
 void ParallelPanels(const KernelContext& ctx, size_t n, size_t block,
                     const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
@@ -78,69 +144,6 @@ void ParallelPanels(const KernelContext& ctx, size_t n, size_t block,
   });
 }
 
-/// Per-row inverse L2 norms with the same lane-split accumulation as the
-/// dot kernels; exactly 0 for zero-norm rows so cosine rows/columns of a
-/// zero vector come out as exact zeros, never NaN.
-std::vector<float> InverseRowNorms(const KernelContext& ctx, const Matrix& m) {
-  std::vector<float> inv(m.rows(), 0.0f);
-  ParallelPanels(ctx, m.rows(), ctx.opts.row_block, [&](size_t r0, size_t r1) {
-    for (size_t i = r0; i < r1; ++i) {
-      const float* p = m.row(i);
-      const float sq = DotLanes(p, p, m.cols());
-      inv[i] = sq > 0.0f ? 1.0f / std::sqrt(sq) : 0.0f;
-    }
-  });
-  return inv;
-}
-
-/// Shared core of MatMulBTK / CosineSimilarityK: out = a·bᵀ with an
-/// optional per-row/per-column scale (null = unscaled). B is walked in
-/// col_block-row panels so one panel stays L2-resident while a row panel
-/// of A streams over it.
-Matrix BlockedMatMulBT(const KernelContext& ctx, const Matrix& a,
-                       const Matrix& b, const float* scale_a,
-                       const float* scale_b) {
-  CEAFF_CHECK(a.cols() == b.cols())
-      << "matmulBT shape mismatch: " << a.rows() << "x" << a.cols() << " * ("
-      << b.rows() << "x" << b.cols() << ")^T";
-  Matrix out(a.rows(), b.rows());
-  const size_t d = a.cols();
-  const size_t col_block = std::max<size_t>(1, ctx.opts.col_block);
-  ParallelPanels(ctx, a.rows(), ctx.opts.row_block, [&](size_t r0, size_t r1) {
-    for (size_t c0 = 0; c0 < b.rows(); c0 += col_block) {
-      const size_t c1 = std::min(b.rows(), c0 + col_block);
-      for (size_t i = r0; i < r1; ++i) {
-        const float* ai = a.row(i);
-        float* oi = out.row(i);
-        const float sa = scale_a != nullptr ? scale_a[i] : 1.0f;
-        for (size_t j = c0; j < c1; ++j) {
-          float v = DotLanes(ai, b.row(j), d);
-          if (scale_a != nullptr) v = (v * sa) * scale_b[j];
-          oi[j] = v;
-        }
-      }
-    }
-  });
-  return out;
-}
-
-/// Mean of the k largest of `values` (consumed in place): partial-sorted
-/// descending, then summed in that order. Identical multiset + identical
-/// summation order = bit-identical result between the naive and blocked
-/// CSLS implementations.
-double TopKMeanSortedDesc(std::vector<float>* values, size_t k) {
-  k = std::min(k, values->size());
-  if (k == 0) return 0.0;
-  std::partial_sort(values->begin(),
-                    values->begin() + static_cast<long>(k), values->end(),
-                    std::greater<float>());
-  double sum = 0.0;
-  for (size_t i = 0; i < k; ++i) sum += (*values)[i];
-  return sum / static_cast<double>(k);
-}
-
-}  // namespace
-
 void KernelOptions::OverrideBlock(size_t block) {
   if (block == 0) return;
   col_block = block;
@@ -160,14 +163,29 @@ KernelRuntime::KernelRuntime(size_t num_threads, size_t block_size,
 // ---------------------------------------------------------------------------
 
 Matrix MatMulBTK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
-  return BlockedMatMulBT(ctx, a, b, nullptr, nullptr);
+  Matrix out;
+  MatMulBTK(ctx, a, b, &out);
+  return out;
+}
+
+void MatMulBTK(const KernelContext& ctx, const Matrix& a, const Matrix& b,
+               Matrix* out) {
+  BlockedMatMulBT(ctx, a, b, nullptr, nullptr, out);
 }
 
 Matrix MatMulK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
+  Matrix out;
+  MatMulK(ctx, a, b, &out);
+  return out;
+}
+
+void MatMulK(const KernelContext& ctx, const Matrix& a, const Matrix& b,
+             Matrix* out_matrix) {
   CEAFF_CHECK(a.cols() == b.rows())
       << "matmul shape mismatch: " << a.rows() << "x" << a.cols() << " * "
       << b.rows() << "x" << b.cols();
-  Matrix out(a.rows(), b.cols());
+  const bool zeroed = Reshape(out_matrix, a.rows(), b.cols());
+  Matrix& out = *out_matrix;
   const size_t k = a.cols(), n = b.cols();
   // i-k-j per row panel: out rows accumulate over k in ascending order, the
   // same order as the naive MatMul, so the two are bit-identical.
@@ -175,6 +193,7 @@ Matrix MatMulK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
     for (size_t i = r0; i < r1; ++i) {
       const float* arow = a.row(i);
       float* orow = out.row(i);
+      if (!zeroed) std::fill(orow, orow + n, 0.0f);
       for (size_t kk = 0; kk < k; ++kk) {
         const float aik = arow[kk];
         if (aik == 0.0f) continue;
@@ -183,14 +202,21 @@ Matrix MatMulK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
       }
     }
   });
-  return out;
 }
 
 Matrix MatMulATK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
+  Matrix out;
+  MatMulATK(ctx, a, b, &out);
+  return out;
+}
+
+void MatMulATK(const KernelContext& ctx, const Matrix& a, const Matrix& b,
+               Matrix* out_matrix) {
   CEAFF_CHECK(a.rows() == b.rows())
       << "matmulAT shape mismatch: (" << a.rows() << "x" << a.cols()
       << ")^T * " << b.rows() << "x" << b.cols();
-  Matrix out(a.cols(), b.cols());
+  const bool zeroed = Reshape(out_matrix, a.cols(), b.cols());
+  Matrix& out = *out_matrix;
   const size_t k = a.rows(), n = b.cols(), acols = a.cols();
   // Parallel over *output* row panels: each task owns rows [r0, r1) of the
   // result and scans the shared k dimension in ascending order — race-free
@@ -198,6 +224,7 @@ Matrix MatMulATK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
   // the per-element accumulation order — ascending kk — is the same, so the
   // two are bit-identical.)
   ParallelPanels(ctx, acols, ctx.opts.row_block, [&](size_t r0, size_t r1) {
+    if (!zeroed) std::fill(out.row(r0), out.row(r0) + (r1 - r0) * n, 0.0f);
     for (size_t kk = 0; kk < k; ++kk) {
       const float* arow = a.row(kk);
       const float* brow = b.row(kk);
@@ -209,7 +236,6 @@ Matrix MatMulATK(const KernelContext& ctx, const Matrix& a, const Matrix& b) {
       }
     }
   });
-  return out;
 }
 
 Matrix CosineSimilarityK(const KernelContext& ctx, const Matrix& a,
@@ -219,7 +245,9 @@ Matrix CosineSimilarityK(const KernelContext& ctx, const Matrix& a,
       << b.rows() << "x" << b.cols();
   const std::vector<float> inv_a = InverseRowNorms(ctx, a);
   const std::vector<float> inv_b = InverseRowNorms(ctx, b);
-  return BlockedMatMulBT(ctx, a, b, inv_a.data(), inv_b.data());
+  Matrix out;
+  BlockedMatMulBT(ctx, a, b, inv_a.data(), inv_b.data(), &out);
+  return out;
 }
 
 StatusOr<Matrix> CosineSimilarityChecked(const KernelContext& ctx,
@@ -237,12 +265,20 @@ StatusOr<Matrix> CosineSimilarityChecked(const KernelContext& ctx,
 // ---------------------------------------------------------------------------
 
 Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a, const Matrix& x) {
+  Matrix out;
+  SpMMK(ctx, a, x, &out);
+  return out;
+}
+
+void SpMMK(const KernelContext& ctx, const SparseMatrix& a, const Matrix& x,
+           Matrix* out_matrix) {
   CEAFF_CHECK(a.cols() == x.rows())
       << "spmm shape mismatch: " << a.rows() << "x" << a.cols() << " * "
       << x.rows() << "x" << x.cols();
   const size_t rows = a.rows();
-  Matrix out(rows, x.cols());
   const size_t n = x.cols();
+  const bool zeroed = Reshape(out_matrix, rows, n);
+  Matrix& out = *out_matrix;
   const uint32_t* rp = a.row_ptr().data();
   const uint32_t* ci = a.col_idx().data();
   const float* vals = a.values().data();
@@ -267,6 +303,7 @@ Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a, const Matrix& x) {
     constexpr size_t kPrefetchAhead = 6;
     for (size_t r = r0; r < r1; ++r) {
       float* orow = out.row(r);
+      if (!zeroed) std::fill(orow, orow + n, 0.0f);
       const uint32_t k1 = rp[r + 1];
       for (uint32_t k = rp[r]; k < k1; ++k) {
         if (use_prefetch && k + kPrefetchAhead < nnz) {
@@ -290,43 +327,15 @@ Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a, const Matrix& x) {
     const size_t block = std::max(ctx.opts.row_block, kGrain);
     for (size_t r0 = 0; r0 < rows; r0 += block) {
       if (ctx.cancel != nullptr && !ctx.cancel->Check("kernel panel").ok()) {
-        return out;  // partial; surfaced via KernelContext::CheckCancelled
+        return;  // partial; surfaced via KernelContext::CheckCancelled
       }
       sweep(r0, std::min(rows, r0 + block));
     }
-    return out;
+    return;
   }
   // Parallel path: each task owns a panel of output rows and runs the same
   // fused sweep over it.
   ParallelPanels(ctx, rows, ctx.opts.row_block, sweep);
-  return out;
-}
-
-Matrix SpMMTransposedK(const KernelContext& ctx, const SparseMatrix& a,
-                       const Matrix& x) {
-  CEAFF_CHECK(a.rows() == x.rows())
-      << "spmmT shape mismatch: (" << a.rows() << "x" << a.cols() << ")^T * "
-      << x.rows() << "x" << x.cols();
-  Matrix out(a.cols(), x.cols());
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_idx = a.col_idx();
-  const auto& values = a.values();
-  // aᵀ·x scatters into output rows keyed by col_idx, so row panels would
-  // race. Parallelise over output *columns* instead: each task owns columns
-  // [c0, c1) of every output row and replays the full nnz scan restricted
-  // to that column range — disjoint writes, and per element the accumulation
-  // order (ascending r, ascending nnz) matches MultiplyTransposed exactly.
-  ParallelPanels(ctx, x.cols(), ctx.opts.col_block, [&](size_t c0, size_t c1) {
-    for (size_t r = 0; r < a.rows(); ++r) {
-      const float* drow = x.row(r);
-      for (uint32_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-        const float v = values[k];
-        float* orow = out.row(col_idx[k]);
-        for (size_t j = c0; j < c1; ++j) orow[j] += v * drow[j];
-      }
-    }
-  });
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 #define CEAFF_LA_KERNELS_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -80,19 +81,41 @@ struct KernelRuntime {
   KernelContext ctx;
 };
 
+/// Runs fn(begin, end) over the fixed partition of [0, n) into panels of
+/// `block` rows (raised to an internal grain floor of 8), parallel across
+/// ctx.pool. The partition depends only on n and `block` — never the
+/// thread count — so a caller whose panels write disjoint outputs gets the
+/// same bits at any thread count. Once ctx.cancel fires, remaining panels
+/// are skipped — callers must surface the error via
+/// KernelContext::CheckCancelled (or their own poll) and discard the
+/// partial output.
+void ParallelPanels(const KernelContext& ctx, size_t n, size_t block,
+                    const std::function<void(size_t, size_t)>& fn);
+
 // ---------------------------------------------------------------------------
 // GEMM family
 // ---------------------------------------------------------------------------
+//
+// Every product kernel also comes as an in-place overload writing `*out`:
+// the output is reshaped (and reallocated) only when its shape differs from
+// the result's, so a caller that reuses one buffer per product — the GCN's
+// epoch workspace — allocates once. The bits equal the returning form's.
 
 /// out = a · bᵀ ((m,d) x (n,d) -> (m,n)), cache-blocked and row-panel
 /// parallel. The similarity-matrix workhorse.
 Matrix MatMulBTK(const KernelContext& ctx, const Matrix& a, const Matrix& b);
+void MatMulBTK(const KernelContext& ctx, const Matrix& a, const Matrix& b,
+               Matrix* out);
 
 /// out = a · b ((m,k) x (k,n) -> (m,n)).
 Matrix MatMulK(const KernelContext& ctx, const Matrix& a, const Matrix& b);
+void MatMulK(const KernelContext& ctx, const Matrix& a, const Matrix& b,
+             Matrix* out);
 
 /// out = aᵀ · b ((k,m)ᵀ x (k,n) -> (m,n)). Backprop helper.
 Matrix MatMulATK(const KernelContext& ctx, const Matrix& a, const Matrix& b);
+void MatMulATK(const KernelContext& ctx, const Matrix& a, const Matrix& b,
+               Matrix* out);
 
 /// Pairwise cosine similarity with per-row norms hoisted out of the pair
 /// loop: one pass computes inverse row norms of `a` and `b` (exactly zero
@@ -113,15 +136,12 @@ StatusOr<Matrix> CosineSimilarityChecked(const KernelContext& ctx,
 // ---------------------------------------------------------------------------
 
 /// out = a · x (CSR (m,k) x dense (k,n) -> dense (m,n)), parallel over
-/// output row panels. Bit-identical to SparseMatrix::Multiply.
+/// output row panels. Bit-identical to SparseMatrix::Multiply. A product
+/// with aᵀ runs this kernel on a.Transposed(), which is bit-identical to
+/// SparseMatrix::MultiplyTransposed (see SparseMatrix::Transposed).
 Matrix SpMMK(const KernelContext& ctx, const SparseMatrix& a, const Matrix& x);
-
-/// out = aᵀ · x ((m,k)ᵀ x (m,n) -> (k,n)), parallel over output *column*
-/// panels — each task scans the full CSR but touches a disjoint column
-/// range of every output row, so the result is race-free and bit-identical
-/// to SparseMatrix::MultiplyTransposed at any thread count.
-Matrix SpMMTransposedK(const KernelContext& ctx, const SparseMatrix& a,
-                       const Matrix& x);
+void SpMMK(const KernelContext& ctx, const SparseMatrix& a, const Matrix& x,
+           Matrix* out);
 
 // ---------------------------------------------------------------------------
 // Sinkhorn normalisation

@@ -91,6 +91,26 @@ Matrix SparseMatrix::MultiplyTransposed(const Matrix& dense) const {
   return out;
 }
 
+SparseMatrix SparseMatrix::Transposed() const {
+  SparseMatrix t;
+  t.rows_ = cols_;
+  t.cols_ = rows_;
+  t.row_ptr_.assign(cols_ + 1, 0);
+  for (const uint32_t c : col_idx_) ++t.row_ptr_[c + 1];
+  for (size_t c = 0; c < cols_; ++c) t.row_ptr_[c + 1] += t.row_ptr_[c];
+  t.col_idx_.resize(col_idx_.size());
+  t.values_.resize(values_.size());
+  std::vector<uint32_t> next(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
+  for (size_t r = 0; r < rows_; ++r) {
+    for (uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const uint32_t dst = next[col_idx_[k]]++;
+      t.col_idx_[dst] = static_cast<uint32_t>(r);
+      t.values_[dst] = values_[k];
+    }
+  }
+  return t;
+}
+
 SparseMatrix SparseMatrix::RowNormalized() const {
   SparseMatrix out = *this;
   for (size_t r = 0; r < rows_; ++r) {

@@ -48,6 +48,13 @@ class SparseMatrix {
   /// out = this^T * dense ((m,k)^T x (m,n) -> (k,n)). Backprop helper.
   Matrix MultiplyTransposed(const Matrix& dense) const;
 
+  /// The exact transpose as a CSR (k,m). Built by a stable counting sort
+  /// over the column ids with every value copied bit-for-bit — nothing is
+  /// summed or re-rounded — so row c lists its sources in ascending r,
+  /// which is MultiplyTransposed's per-element accumulation order:
+  /// Transposed().Multiply(x) is byte-identical to MultiplyTransposed(x).
+  SparseMatrix Transposed() const;
+
   /// Returns a copy with every row scaled to sum 1 (rows summing to zero
   /// are left as-is) — random-walk normalisation  D^-1 (A).
   SparseMatrix RowNormalized() const;

@@ -435,6 +435,10 @@ StatusOr<TopKResult> ShardRouter::TopK(const std::string& query_name,
   }
   ++scatter_counter_;
   const uint64_t scatter_start_ns = NowNanos();
+  // Stall drill: a `delay:` arm here lengthens this scatter's measured
+  // latency as a host stall would. The site has no failure mode, so any
+  // other verdict is ignored.
+  (void)failpoint::Hit("router.scatter");
 
   // Per-range plan: the live same-generation replicas, primary first.
   // Phase 1 sends to every range's primary so the worker scans overlap;
@@ -819,6 +823,7 @@ Status ShardRouter::MoveFleetTo(const GenerationInfo& next, bool arm_canary) {
     canary_errors_ = 0;
     canary_deaths_ = 0;
     canary_dataloss_ = 0;
+    canary_slow_ = 0;
     canary_hist_ = std::make_unique<LatencyHistogram>();
   } else {
     canary_active_ = false;
@@ -852,6 +857,10 @@ void ShardRouter::RecordCanaryScatter(uint64_t pinned, uint64_t latency_ns,
   if (canary_active_ && pinned == canary_gen_) {
     ++canary_seen_;
     if (!ok) ++canary_errors_;
+    if (static_cast<double>(latency_ns) >
+        static_cast<double>(baseline_p99_ns_) * options_.canary_p99_factor) {
+      ++canary_slow_;
+    }
     canary_hist_->Record(latency_ns);
   }
   EvaluateCanary();
@@ -872,7 +881,9 @@ void ShardRouter::EvaluateCanary() {
   //      generation whose workers keep crashing is bad regardless of
   //      latency.
   //   3. At window end: error-ratio regression vs the baseline, then p99
-  //      blowout vs the baseline (only with enough baseline samples).
+  //      blowout vs the baseline (only with enough baseline samples, and
+  //      only when at least two canary scatters blew the bound: one host
+  //      stall is not a regression).
   std::string reason;
   if (canary_dataloss_ > 0) {
     reason = StrFormat("%llu data-loss repl%s from canary generation %llu",
@@ -903,16 +914,18 @@ void ShardRouter::EvaluateCanary() {
     } else if (baseline_queries_ >= options_.canary_min_baseline &&
                baseline_p99_ns_ > 0) {
       const uint64_t canary_p99 = canary_hist_->QuantileNanos(0.99);
-      if (static_cast<double>(canary_p99) >
-          static_cast<double>(baseline_p99_ns_) *
-              options_.canary_p99_factor) {
+      if (canary_slow_ >= 2 &&
+          static_cast<double>(canary_p99) >
+              static_cast<double>(baseline_p99_ns_) *
+                  options_.canary_p99_factor) {
         reason = StrFormat(
             "p99 regression on canary generation %llu (%llu ns vs "
-            "baseline %llu ns, factor %.1f)",
+            "baseline %llu ns, factor %.1f, %llu slow scatters)",
             static_cast<unsigned long long>(canary_gen_),
             static_cast<unsigned long long>(canary_p99),
             static_cast<unsigned long long>(baseline_p99_ns_),
-            options_.canary_p99_factor);
+            options_.canary_p99_factor,
+            static_cast<unsigned long long>(canary_slow_));
       }
     }
     if (reason.empty()) {

@@ -71,9 +71,11 @@ struct ShardRouterOptions {
   /// rollback).
   size_t canary_window = 64;
   /// p99 regression bound: the canary generation fails when its p99 exceeds
-  /// baseline p99 × this factor. Deliberately generous — the canary is
-  /// hunting order-of-magnitude regressions (a generation that thrashes),
-  /// not noise.
+  /// baseline p99 × this factor and at least two of its scatters did (in a
+  /// 64-scatter window the p99 is the maximum, so one host stall alone
+  /// must not roll back a good generation). Deliberately generous — the
+  /// canary is hunting order-of-magnitude regressions (a generation that
+  /// thrashes), not noise.
   double canary_p99_factor = 8.0;
   /// Baseline scatters required before the p99 rule may fire at all; a
   /// fleet that reloads immediately after boot has no meaningful baseline.
@@ -377,6 +379,8 @@ class ShardRouter {
   uint64_t canary_errors_ = 0;
   uint64_t canary_deaths_ = 0;
   uint64_t canary_dataloss_ = 0;
+  /// Canary scatters slower than baseline p99 × canary_p99_factor.
+  uint64_t canary_slow_ = 0;
   std::unique_ptr<LatencyHistogram> canary_hist_;
   /// Pre-reload baseline, captured at the instant the fleet moves: p99 and
   /// error ratio of everything the old generation served.

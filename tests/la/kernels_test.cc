@@ -215,13 +215,42 @@ TEST(KernelSpmmTest, SpMMMatchesCsrReferenceBitwise) {
   EXPECT_TRUE(BitIdentical(fast, naive));
 }
 
-TEST(KernelSpmmTest, SpMMTransposedMatchesCsrReferenceBitwise) {
-  const SparseMatrix a = RandomSparse(30, 40, 150, 17);
-  const Matrix x = RandomMatrix(30, 9, 18);
-  const Matrix naive = a.MultiplyTransposed(x);
-  const Matrix fast = CheckDeterministic(
-      [&](const KernelContext& ctx) { return SpMMTransposedK(ctx, a, x); });
-  EXPECT_TRUE(BitIdentical(fast, naive));
+// The in-place overloads reuse a caller's buffer. Whatever it held before —
+// here NaNs — the result must be byte-identical to a fresh allocation's,
+// and a buffer of the wrong shape must be reshaped.
+TEST(KernelInPlaceTest, ReusedBufferMatchesFreshResult) {
+  const SparseMatrix a = RandomSparse(70, 50, 400, 31);
+  const Matrix x = RandomMatrix(50, 11, 32);
+  const Matrix g = RandomMatrix(70, 13, 33);
+  const Matrix w = RandomMatrix(11, 13, 34);
+  const Matrix wt = RandomMatrix(9, 13, 35);
+  const Matrix y = RandomMatrix(50, 13, 36);
+  ThreadPool pool(3);
+  KernelContext seq, par;
+  par.pool = &pool;
+  par.opts.OverrideBlock(16);
+  for (const KernelContext* ctx : {&seq, &par}) {
+    auto check = [&](const Matrix& fresh, auto&& into, size_t rows,
+                     size_t cols, const char* what) {
+      Matrix stale(rows, cols);
+      stale.Fill(std::nanf(""));
+      into(&stale);
+      EXPECT_TRUE(BitIdentical(stale, fresh)) << what << " (reused)";
+      Matrix wrong(rows + 1, cols + 2);
+      into(&wrong);
+      EXPECT_TRUE(BitIdentical(wrong, fresh)) << what << " (reshaped)";
+    };
+    check(SpMMK(*ctx, a, x),
+          [&](Matrix* out) { SpMMK(*ctx, a, x, out); }, 70, 11, "spmm");
+    check(MatMulK(*ctx, x, w),
+          [&](Matrix* out) { MatMulK(*ctx, x, w, out); }, 50, 13, "matmul");
+    check(MatMulATK(*ctx, x, y),
+          [&](Matrix* out) { MatMulATK(*ctx, x, y, out); }, 11, 13,
+          "matmulAT");
+    check(MatMulBTK(*ctx, g, wt),
+          [&](Matrix* out) { MatMulBTK(*ctx, g, wt, out); }, 70, 9,
+          "matmulBT");
+  }
 }
 
 // The fused single-sweep CSR path is the default for the parallel case

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "ceaff/common/random.h"
 
@@ -137,6 +139,58 @@ TEST(SparseMatrixTest, EmptyMatrixIsUsable) {
   x.Fill(1.0f);
   Matrix y = m.Multiply(x);
   EXPECT_EQ(y.Sum(), 0.0);
+}
+
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// Transposed() is the exact transpose: its Multiply reproduces
+// MultiplyTransposed byte for byte, because row c of the transpose lists
+// its sources in ascending r, MultiplyTransposed's accumulation order.
+TEST(SparseMatrixTest, TransposedMultiplyIsByteIdenticalToMultiplyTransposed) {
+  Rng rng(29);
+  const struct {
+    size_t rows, cols, nnz, d;
+  } shapes[] = {{1, 1, 1, 1},     {3, 2, 0, 4},      {7, 7, 20, 3},
+                {30, 40, 150, 9}, {40, 30, 150, 5},  {64, 3, 500, 17},
+                {3, 64, 500, 8},  {200, 200, 2500, 33}};
+  for (const auto& s : shapes) {
+    // Ids drawn from a narrow range repeat (r, c) often — those duplicates
+    // are summed at Build — and leave rows and columns empty.
+    std::vector<Triplet> triplets;
+    const size_t row_span = std::max<size_t>(1, s.rows * 2 / 3);
+    for (size_t i = 0; i < s.nnz; ++i) {
+      triplets.push_back({static_cast<uint32_t>(rng.NextBounded(row_span)),
+                          static_cast<uint32_t>(rng.NextBounded(s.cols)),
+                          static_cast<float>(rng.NextUniform(-1.0, 1.0))});
+    }
+    const SparseMatrix a = SparseMatrix::Build(s.rows, s.cols, triplets);
+    const SparseMatrix t = a.Transposed();
+    EXPECT_EQ(t.rows(), s.cols);
+    EXPECT_EQ(t.cols(), s.rows);
+    EXPECT_EQ(t.nnz(), a.nnz());
+    for (size_t r = 0; r < s.rows; ++r) {
+      for (size_t c = 0; c < s.cols; ++c) {
+        const float want = a.at(r, c), got = t.at(c, r);
+        EXPECT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+            << "(" << r << "," << c << ") of " << s.rows << "x" << s.cols;
+      }
+    }
+    Matrix x(s.rows, s.d);
+    for (size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+    }
+    EXPECT_TRUE(SameBytes(t.Multiply(x), a.MultiplyTransposed(x)))
+        << s.rows << "x" << s.cols << " nnz " << a.nnz();
+    // Transposing twice restores the original CSR exactly.
+    const SparseMatrix tt = t.Transposed();
+    EXPECT_EQ(tt.row_ptr(), a.row_ptr());
+    EXPECT_EQ(tt.col_idx(), a.col_idx());
+    EXPECT_EQ(tt.values(), a.values());
+  }
 }
 
 }  // namespace

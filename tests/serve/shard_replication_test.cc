@@ -9,13 +9,16 @@
 #include <gtest/gtest.h>
 #include <signal.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "ceaff/common/failpoint.h"
 #include "ceaff/serve/alignment_index.h"
 #include "ceaff/serve/router.h"
 #include "ceaff/serve/topk_scan.h"
@@ -346,6 +349,56 @@ TEST_F(ShardReplicationTest, CanaryPassPromotesGeneration) {
   EXPECT_EQ(router.rollbacks(), 0u);
   EXPECT_NE(router.StatsJson().find("\"canary_passes\": 1"),
             std::string::npos);
+}
+
+// One stalled scatter inside the canary window is a host hiccup, not a
+// regression: the generation is promoted. Two stalled scatters roll it
+// back. The `router.scatter` failpoint stalls scatters in this (the
+// router's) process; each scenario runs on its own fleet so the first
+// scenario's stall never enters the second one's baseline.
+TEST_F(ShardReplicationTest, CanaryP99RuleNeedsTwoSlowScatters) {
+  auto run = [&](int stalls, const std::string& name) -> uint64_t {
+    const std::string store_dir = dir_->File(name);
+    std::filesystem::create_directories(store_dir);
+    EXPECT_TRUE(SaveAlignmentIndex(index_, store_dir).ok());
+    ShardRouterOptions options = ReplicatedOptions(2, 2);
+    options.canary_window = 8;
+    auto router_or = ShardRouter::Start(store_dir, options);
+    EXPECT_TRUE(router_or.ok()) << router_or.status().ToString();
+    if (!router_or.ok()) return UINT64_MAX;
+    ShardRouter& router = **router_or;
+    // Baseline past canary_min_baseline (16); the stall is sized from the
+    // slowest baseline query so it clears 8x the baseline p99 with room
+    // to spare on any host or sanitizer build.
+    int64_t slowest_ms = 1;
+    for (int i = 0; i < 24; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      EXPECT_TRUE(router.TopK("source entity 4", 3).ok());
+      slowest_ms = std::max<int64_t>(
+          slowest_ms, std::chrono::duration_cast<std::chrono::milliseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                              .count() +
+                          1);
+    }
+    const AlignmentIndex next_index = ShardIndex(30);
+    EXPECT_TRUE(SaveAlignmentIndex(next_index, store_dir).ok());
+    EXPECT_TRUE(router.Reload(store_dir).ok());
+    EXPECT_TRUE(router.canary_active());
+    const std::string stall =
+        "router.scatter=delay:" + std::to_string(std::max<int64_t>(
+                                      50, 32 * slowest_ms));
+    for (int i = 0; i < 8; ++i) {
+      if (i < stalls) EXPECT_TRUE(failpoint::Configure(stall).ok());
+      auto got = router.TopK("source entity 3", 4);
+      failpoint::Clear();
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+    }
+    EXPECT_FALSE(router.canary_active());
+    return router.rollbacks();
+  };
+
+  EXPECT_EQ(run(1, "one_stall"), 0u);
+  EXPECT_EQ(run(2, "two_stalls"), 1u);
 }
 
 // === Generation plumbing ===============================================

@@ -72,10 +72,10 @@ if [[ "$skip_tsan" == 0 ]]; then
   echo "==> TSan build + concurrency & chaos tests"
   cmake -B "$repo/build-tsan" -S "$repo" -DCEAFF_TSAN=ON
   cmake --build "$repo/build-tsan" -j "$jobs" \
-    --target common_test la_test serve_test serve_hammer_test \
+    --target common_test la_test embed_test serve_test serve_hammer_test \
       serve_chaos_test serve_shard_replication_test
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|ParallelFor|ThreadLocalRng|Logging|Serve|AlignmentService|AlignmentIndex|IndexMmap|ParseRequest|Admission|RetryPolicy|CircuitBreaker|Degradation|OverloadChaos|Kernel|ShardReplicationTest.WorkerDeathMidReload'
+    -R 'ThreadPool|ParallelFor|ThreadLocalRng|Logging|Serve|AlignmentService|AlignmentIndex|IndexMmap|ParseRequest|Admission|RetryPolicy|CircuitBreaker|Degradation|OverloadChaos|Kernel|GcnAlignerTest.TrainIsBitIdentical|MarginLossTest.Parallel|ShardReplicationTest.WorkerDeathMidReload'
 fi
 
 if [[ "$skip_crash" == 0 ]]; then
