@@ -28,13 +28,35 @@ void BM_GreedyIndependent(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyIndependent)->Arg(100)->Arg(400)->Arg(1600);
 
+/// The adversarial DAA instance: every source ranks the targets in the
+/// same order while every target prefers the highest source index, so each
+/// proposal to a held target displaces its holder (≈ n²/2 proposals).
+Matrix DeepChainSimilarity(size_t n) {
+  Matrix m(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      m.at(i, j) = static_cast<float>(n - j) +
+                   0.5f * static_cast<float>(i) / static_cast<float>(n);
+    }
+  }
+  return m;
+}
+
+/// Args: {n, instance}, instance 0 = uniform random, 1 = deep chain.
 void BM_DeferredAcceptance(benchmark::State& state) {
-  Matrix m = RandomSimilarity(static_cast<size_t>(state.range(0)), 2);
+  const size_t n = static_cast<size_t>(state.range(0));
+  Matrix m = state.range(1) == 0 ? RandomSimilarity(n, 2)
+                                 : DeepChainSimilarity(n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ceaff::matching::DeferredAcceptance(m));
   }
 }
-BENCHMARK(BM_DeferredAcceptance)->Arg(100)->Arg(400)->Arg(1600);
+BENCHMARK(BM_DeferredAcceptance)
+    ->Args({100, 0})
+    ->Args({400, 0})
+    ->Args({1600, 0})
+    ->Args({1000, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GreedyOneToOne(benchmark::State& state) {
   Matrix m = RandomSimilarity(static_cast<size_t>(state.range(0)), 3);

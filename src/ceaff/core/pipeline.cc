@@ -45,6 +45,23 @@ void TestIds(const kg::KgPair& pair, std::vector<uint32_t>* sources,
   }
 }
 
+std::vector<double> ServingWeights(const std::vector<double>& textual_weights,
+                                   const std::vector<double>& final_weights,
+                                   bool use_structural, bool use_semantic,
+                                   bool use_string) {
+  if (textual_weights.size() >= 2 && final_weights.size() >= 2) {
+    return {final_weights[0], final_weights[1] * textual_weights[0],
+            final_weights[1] * textual_weights[1]};
+  }
+  size_t idx = 0;
+  auto take = [&](bool enabled) {
+    return enabled && idx < final_weights.size() ? final_weights[idx++] : 0.0;
+  };
+  const double w_struct = take(use_structural);
+  const double w_sem = take(use_semantic);
+  return {w_struct, w_sem, take(use_string)};
+}
+
 CeaffPipeline::CeaffPipeline(const kg::KgPair* pair,
                              const text::WordEmbeddingStore* store,
                              const CeaffOptions& options)
@@ -539,29 +556,10 @@ Status CeaffPipeline::ExportIndex(const CeaffFeatures& features,
                            result.fused.at(i, static_cast<size_t>(t))});
   }
 
-  // Flatten the run's fusion weights to effective per-serving-feature
-  // weights (structural, semantic, string). The canonical two-stage run
-  // reports final = (w_s, w_textual) and textual = (w_n, w_l); every other
-  // configuration reports final_weights in enabled-feature order. Weights
-  // of features the service does not serve (attribute, relation) are
-  // dropped — the index builder renormalises.
-  double w_struct = 0.0, w_sem = 0.0, w_str = 0.0;
-  if (!result.textual_weights.empty() && result.final_weights.size() >= 2 &&
-      result.textual_weights.size() >= 2) {
-    w_struct = result.final_weights[0];
-    w_sem = result.final_weights[1] * result.textual_weights[0];
-    w_str = result.final_weights[1] * result.textual_weights[1];
-  } else {
-    size_t idx = 0;
-    auto take = [&]() {
-      return idx < result.final_weights.size() ? result.final_weights[idx++]
-                                               : 0.0;
-    };
-    if (options_.use_structural) w_struct = take();
-    if (options_.use_semantic) w_sem = take();
-    if (options_.use_string) w_str = take();
-  }
-  input.weights = {w_struct, w_sem, w_str};
+  input.weights =
+      ServingWeights(result.textual_weights, result.final_weights,
+                     options_.use_structural, options_.use_semantic,
+                     options_.use_string);
 
   if (options_.use_semantic && store_ != nullptr) {
     input.semantic_seed = store_->seed();

@@ -240,6 +240,18 @@ std::vector<std::string> GatherNames(const kg::KnowledgeGraph& g,
 void TestIds(const kg::KgPair& pair, std::vector<uint32_t>* sources,
              std::vector<uint32_t>* targets);
 
+/// Flattens a run's fusion weights to the serving index's effective
+/// (structural, semantic, string) weights. A two-stage run reports
+/// textual = (w_n, w_l) and final = (w_s, w_textual, extras...), so the
+/// semantic weight is w_textual·w_n and the string weight w_textual·w_l;
+/// any other run (empty textual_weights) reports final_weights in
+/// enabled-feature order. Weights of features the service does not serve
+/// (attribute, relation) are dropped; the index builder renormalises.
+std::vector<double> ServingWeights(const std::vector<double>& textual_weights,
+                                   const std::vector<double>& final_weights,
+                                   bool use_structural, bool use_semantic,
+                                   bool use_string);
+
 }  // namespace ceaff::core
 
 #endif  // CEAFF_CORE_PIPELINE_H_

@@ -38,7 +38,7 @@ Status PublishState(const DeltaState& state, const DeltaApplyOptions& options,
     CEAFF_ASSIGN_OR_RETURN(
         const serve::AlignmentIndex index,
         BuildIndexFromState(state, options.export_ann,
-                            options.ann_centroids));
+                            options.ann_centroids, options.cancel));
     CEAFF_RETURN_IF_ERROR(
         serve::SaveAlignmentIndexGenerational(index, options.index_dir));
     CEAFF_ASSIGN_OR_RETURN(
@@ -125,9 +125,7 @@ StatusOr<DeltaApplyReport> ApplyDelta(const DeltaApplyOptions& options) {
                   << " records (watermark " << report.watermark_before
                   << " -> " << report.watermark_after << "), "
                   << report.stats.dirty_rows << " dirty rows, "
-                  << report.stats.dirty_cols << " dirty cols, "
-                  << report.stats.resorted_pref_rows
-                  << " preference rows re-sorted";
+                  << report.stats.dirty_cols << " dirty cols";
   return report;
 }
 
@@ -197,17 +195,16 @@ StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options) {
   return report;
 }
 
-StatusOr<serve::AlignmentIndex> BuildIndexFromState(const DeltaState& s,
-                                                    bool export_ann,
-                                                    size_t ann_centroids) {
+StatusOr<serve::AlignmentIndex> BuildIndexFromState(
+    const DeltaState& s, bool export_ann, size_t ann_centroids,
+    const CancellationToken* cancel) {
   serve::AlignmentIndexInput input;
   input.dataset = s.dataset;
   input.source_names = core::GatherNames(s.kg1, s.source_ids);
   input.target_names = core::GatherNames(s.kg2, s.target_ids);
 
-  CEAFF_ASSIGN_OR_RETURN(
-      const matching::MatchResult match,
-      matching::DeferredAcceptanceWithPrefs(s.fused, s.prefs));
+  CEAFF_ASSIGN_OR_RETURN(const matching::MatchResult match,
+                         matching::DeferredAcceptanceChecked(s.fused, cancel));
   for (size_t i = 0; i < match.target_of_source.size(); ++i) {
     const int64_t t = match.target_of_source[i];
     if (t < 0) continue;
@@ -216,24 +213,10 @@ StatusOr<serve::AlignmentIndex> BuildIndexFromState(const DeltaState& s,
                            s.fused.at(i, static_cast<size_t>(t))});
   }
 
-  // Flatten the frozen fusion weights to effective per-serving-feature
-  // weights, exactly as the batch pipeline's export stage does.
-  double w_struct = 0.0, w_sem = 0.0, w_str = 0.0;
-  if (s.two_stage && s.final_weights.size() >= 2 &&
-      s.textual_weights.size() >= 2) {
-    w_struct = s.final_weights[0];
-    w_sem = s.final_weights[1] * s.textual_weights[0];
-    w_str = s.final_weights[1] * s.textual_weights[1];
-  } else {
-    size_t idx = 0;
-    auto take = [&]() {
-      return idx < s.final_weights.size() ? s.final_weights[idx++] : 0.0;
-    };
-    if (s.use_structural) w_struct = take();
-    if (s.use_semantic) w_sem = take();
-    if (s.use_string) w_str = take();
-  }
-  input.weights = {w_struct, w_sem, w_str};
+  // Stage-one weights only take part when the state fuses in two stages.
+  input.weights = core::ServingWeights(
+      s.two_stage ? s.textual_weights : std::vector<double>{},
+      s.final_weights, s.use_structural, s.use_semantic, s.use_string);
 
   if (s.use_semantic) {
     input.semantic_seed = s.semantic_seed;

@@ -78,11 +78,13 @@ StatusOr<DeltaApplyReport> ApplyDelta(const DeltaApplyOptions& options);
 StatusOr<DeltaApplyReport> RebuildDelta(const DeltaApplyOptions& options);
 
 /// Distills a DeltaState into the serving artifact — names, the DAA match
-/// implied by (fused, prefs), L2-normalised embeddings, flattened fusion
+/// of the fused matrix, L2-normalised embeddings, flattened fusion
 /// weights, optional ANN sections. Mirrors the batch pipeline's export
 /// stage, so a delta publish is indistinguishable to the serving layer.
+/// `cancel` (may be null) is polled by the matching.
 StatusOr<serve::AlignmentIndex> BuildIndexFromState(
-    const DeltaState& state, bool export_ann, size_t ann_centroids);
+    const DeltaState& state, bool export_ann, size_t ann_centroids,
+    const CancellationToken* cancel = nullptr);
 
 }  // namespace ceaff::delta
 

@@ -1,12 +1,9 @@
 #include "ceaff/delta/delta_state.h"
 
 #include <cstring>
-#include <sstream>
 
 #include "ceaff/common/crc32.h"
 #include "ceaff/common/string_util.h"
-#include "ceaff/la/matrix_io.h"
-#include "ceaff/matching/matching.h"
 #include "ceaff/text/name_embedding.h"
 
 namespace ceaff::delta {
@@ -14,151 +11,179 @@ namespace ceaff::delta {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'E', 'A', 'F', 'F', 'D', 'L', 'T'};
-constexpr uint32_t kVersion = 1;
+/// Version 2 dropped the per-source preference lists that version 1
+/// appended after the fused matrix; DAA derives them from `fused`.
+constexpr uint32_t kVersion = 2;
+constexpr uint32_t kVersionWithPrefs = 1;
+constexpr size_t kHeaderBytes = sizeof(kMagic) + 4;
 constexpr size_t kTrailerBytes = 4;
 
-// ---- little-endian stream writers/readers ----------------------------------
+// ---- little-endian writers --------------------------------------------------
 
-void PutU8(std::ostream& out, uint8_t v) {
-  out.put(static_cast<char>(v));
+template <typename T>
+void Put(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-void PutU32(std::ostream& out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.write(buf, 4);
+void PutStr(std::string* out, const std::string& s) {
+  Put<uint32_t>(out, static_cast<uint32_t>(s.size()));
+  out->append(s);
 }
 
-void PutU64(std::ostream& out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.write(buf, 8);
+void PutDoubleVec(std::string* out, const std::vector<double>& v) {
+  Put<uint32_t>(out, static_cast<uint32_t>(v.size()));
+  for (double d : v) Put(out, d);
 }
 
-void PutDouble(std::ostream& out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.write(buf, 8);
+void PutU32Vec(std::string* out, const std::vector<uint32_t>& v) {
+  Put<uint64_t>(out, v.size());
+  for (uint32_t x : v) Put(out, x);
 }
 
-void PutStr(std::ostream& out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-Status TakeU8(std::istream& in, uint8_t* v) {
-  char c;
-  if (!in.get(c)) return Status::DataLoss("truncated delta state (u8)");
-  *v = static_cast<uint8_t>(c);
-  return Status::OK();
-}
-
-Status TakeU32(std::istream& in, uint32_t* v) {
-  char buf[4];
-  if (!in.read(buf, 4)) return Status::DataLoss("truncated delta state (u32)");
-  std::memcpy(v, buf, 4);
-  return Status::OK();
-}
-
-Status TakeU64(std::istream& in, uint64_t* v) {
-  char buf[8];
-  if (!in.read(buf, 8)) return Status::DataLoss("truncated delta state (u64)");
-  std::memcpy(v, buf, 8);
-  return Status::OK();
-}
-
-Status TakeDouble(std::istream& in, double* v) {
-  char buf[8];
-  if (!in.read(buf, 8)) {
-    return Status::DataLoss("truncated delta state (double)");
-  }
-  std::memcpy(v, buf, 8);
-  return Status::OK();
-}
-
-Status TakeStr(std::istream& in, std::string* s, uint64_t remaining) {
-  uint32_t len = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU32(in, &len));
-  if (len > remaining) return Status::DataLoss("oversized delta-state string");
-  s->resize(len);
-  if (len > 0 && !in.read(s->data(), len)) {
-    return Status::DataLoss("truncated delta state (string)");
-  }
-  return Status::OK();
-}
-
-Status TakeBool(std::istream& in, bool* v) {
-  uint8_t b = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU8(in, &b));
-  if (b > 1) return Status::DataLoss("delta-state bool out of range");
-  *v = b != 0;
-  return Status::OK();
-}
-
-void PutDoubleVec(std::ostream& out, const std::vector<double>& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  for (double d : v) PutDouble(out, d);
-}
-
-Status TakeDoubleVec(std::istream& in, std::vector<double>* v) {
-  uint32_t n = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU32(in, &n));
-  if (n > 64) return Status::DataLoss("implausible delta-state weight count");
-  v->resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    CEAFF_RETURN_IF_ERROR(TakeDouble(in, &(*v)[i]));
-  }
-  return Status::OK();
-}
-
-void PutU32Vec(std::ostream& out, const std::vector<uint32_t>& v) {
-  PutU64(out, v.size());
-  for (uint32_t x : v) PutU32(out, x);
-}
-
-Status TakeU32Vec(std::istream& in, std::vector<uint32_t>* v,
-                  uint64_t remaining) {
-  uint64_t n = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &n));
-  if (n * 4 > remaining) {
-    return Status::DataLoss("oversized delta-state id vector");
-  }
-  v->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    CEAFF_RETURN_IF_ERROR(TakeU32(in, &(*v)[i]));
-  }
-  return Status::OK();
-}
-
-void PutKg(std::ostream& out, const kg::KnowledgeGraph& g) {
-  PutU64(out, g.num_entities());
+void PutKg(std::string* out, const kg::KnowledgeGraph& g) {
+  Put<uint64_t>(out, g.num_entities());
   for (uint32_t e = 0; e < g.num_entities(); ++e) {
     PutStr(out, g.entity_uri(e));
     PutStr(out, g.entity_name(e));
   }
-  PutU64(out, g.num_relations());
+  Put<uint64_t>(out, g.num_relations());
   for (uint32_t r = 0; r < g.num_relations(); ++r) {
     PutStr(out, g.relation_uri(r));
   }
-  PutU64(out, g.num_triples());
+  Put<uint64_t>(out, g.num_triples());
   for (const kg::Triple& t : g.triples()) {
-    PutU32(out, t.head);
-    PutU32(out, t.relation);
-    PutU32(out, t.tail);
+    Put(out, t.head);
+    Put(out, t.relation);
+    Put(out, t.tail);
   }
 }
 
-Status TakeKg(std::istream& in, kg::KnowledgeGraph* g, uint64_t remaining) {
+/// A matrix section: rows (u64), cols (u64), then rows*cols float32,
+/// row-major.
+void PutMatrix(std::string* out, const la::Matrix& m) {
+  Put<uint64_t>(out, m.rows());
+  Put<uint64_t>(out, m.cols());
+  if (m.size() > 0) {  // an empty matrix has null data()
+    out->append(reinterpret_cast<const char*>(m.data()),
+                m.size() * sizeof(float));
+  }
+}
+
+// ---- bounded reader ---------------------------------------------------------
+
+/// Little-endian reader over the state's bytes, in place. Every read checks
+/// the bytes left first, and every count is bounded by them before
+/// anything is allocated, so corrupt input fails as kDataLoss instead of
+/// reading or allocating past the end.
+class Reader {
+ public:
+  explicit Reader(std::string_view bytes) : rest_(bytes) {}
+
+  uint64_t remaining() const { return rest_.size(); }
+
+  template <typename T>
+  Status Take(T* v, const char* what) {
+    if (rest_.size() < sizeof(T)) {
+      return Status::DataLoss(StrFormat("truncated delta state (%s)", what));
+    }
+    std::memcpy(v, rest_.data(), sizeof(T));
+    rest_.remove_prefix(sizeof(T));
+    return Status::OK();
+  }
+
+  Status Bool(bool* v) {
+    uint8_t b = 0;
+    CEAFF_RETURN_IF_ERROR(Take(&b, "u8"));
+    if (b > 1) return Status::DataLoss("delta-state bool out of range");
+    *v = b != 0;
+    return Status::OK();
+  }
+
+  Status Str(std::string* s) {
+    uint32_t len = 0;
+    CEAFF_RETURN_IF_ERROR(Take(&len, "u32"));
+    if (len > rest_.size()) {
+      return Status::DataLoss("oversized delta-state string");
+    }
+    s->assign(rest_.data(), len);
+    rest_.remove_prefix(len);
+    return Status::OK();
+  }
+
+  Status DoubleVec(std::vector<double>* v) {
+    uint32_t n = 0;
+    CEAFF_RETURN_IF_ERROR(Take(&n, "u32"));
+    if (n > 64) return Status::DataLoss("implausible delta-state weight count");
+    v->resize(n);
+    for (double& d : *v) CEAFF_RETURN_IF_ERROR(Take(&d, "double"));
+    return Status::OK();
+  }
+
+  Status U32Vec(std::vector<uint32_t>* v) {
+    uint64_t n = 0;
+    CEAFF_RETURN_IF_ERROR(Take(&n, "u64"));
+    if (n > rest_.size() / 4) {
+      return Status::DataLoss("oversized delta-state id vector");
+    }
+    v->resize(n);
+    for (uint32_t& x : *v) CEAFF_RETURN_IF_ERROR(Take(&x, "u32"));
+    return Status::OK();
+  }
+
+  Status Matrix(la::Matrix* m) {
+    uint64_t rows = 0, cols = 0;
+    if (!Take(&rows, "u64").ok() || !Take(&cols, "u64").ok()) {
+      return Status::DataLoss("cannot read matrix section shape");
+    }
+    const uint64_t elems = rows * cols;
+    if (cols != 0 && rows != elems / cols) {
+      return Status::DataLoss("matrix section shape overflows");
+    }
+    if (elems > rest_.size() / sizeof(float)) {
+      return Status::DataLoss(StrFormat(
+          "matrix section declares %llux%llu (%llu bytes) but only %llu "
+          "bytes remain — truncated or corrupted artifact",
+          static_cast<unsigned long long>(rows),
+          static_cast<unsigned long long>(cols),
+          static_cast<unsigned long long>(elems * sizeof(float)),
+          static_cast<unsigned long long>(rest_.size())));
+    }
+    *m = la::Matrix(static_cast<size_t>(rows), static_cast<size_t>(cols));
+    const size_t payload = static_cast<size_t>(elems) * sizeof(float);
+    if (payload > 0) std::memcpy(m->data(), rest_.data(), payload);
+    rest_.remove_prefix(payload);
+    return Status::OK();
+  }
+
+  /// Skips a version-1 preference block: u64 rows, u64 cols, then
+  /// rows*cols u32 target ids, which must match the serving split.
+  Status SkipPrefs(size_t sources, size_t targets) {
+    uint64_t rows = 0, cols = 0;
+    CEAFF_RETURN_IF_ERROR(Take(&rows, "u64"));
+    CEAFF_RETURN_IF_ERROR(Take(&cols, "u64"));
+    if (rows != sources || cols != targets ||
+        (cols != 0 && rows > rest_.size() / 4 / cols)) {
+      return Status::DataLoss("delta-state preference shape mismatch");
+    }
+    rest_.remove_prefix(static_cast<size_t>(rows * cols * 4));
+    return Status::OK();
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+Status TakeKg(Reader* in, kg::KnowledgeGraph* g) {
   uint64_t num_entities = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &num_entities));
+  CEAFF_RETURN_IF_ERROR(in->Take(&num_entities, "u64"));
   // Each entity costs at least the two length prefixes.
-  if (num_entities * 8 > remaining) {
+  if (num_entities > in->remaining() / 8) {
     return Status::DataLoss("oversized delta-state entity count");
   }
   for (uint64_t e = 0; e < num_entities; ++e) {
     std::string uri, name;
-    CEAFF_RETURN_IF_ERROR(TakeStr(in, &uri, remaining));
-    CEAFF_RETURN_IF_ERROR(TakeStr(in, &name, remaining));
+    CEAFF_RETURN_IF_ERROR(in->Str(&uri));
+    CEAFF_RETURN_IF_ERROR(in->Str(&name));
     const uint32_t id = g->AddEntity(uri);
     if (id != e) {
       return Status::DataLoss("duplicate entity URI in delta-state snapshot");
@@ -168,28 +193,28 @@ Status TakeKg(std::istream& in, kg::KnowledgeGraph* g, uint64_t remaining) {
     g->SetEntityName(id, name);
   }
   uint64_t num_relations = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &num_relations));
-  if (num_relations * 4 > remaining) {
+  CEAFF_RETURN_IF_ERROR(in->Take(&num_relations, "u64"));
+  if (num_relations > in->remaining() / 4) {
     return Status::DataLoss("oversized delta-state relation count");
   }
   for (uint64_t r = 0; r < num_relations; ++r) {
     std::string uri;
-    CEAFF_RETURN_IF_ERROR(TakeStr(in, &uri, remaining));
+    CEAFF_RETURN_IF_ERROR(in->Str(&uri));
     if (g->AddRelation(uri) != r) {
       return Status::DataLoss(
           "duplicate relation URI in delta-state snapshot");
     }
   }
   uint64_t num_triples = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &num_triples));
-  if (num_triples * 12 > remaining) {
+  CEAFF_RETURN_IF_ERROR(in->Take(&num_triples, "u64"));
+  if (num_triples > in->remaining() / 12) {
     return Status::DataLoss("oversized delta-state triple count");
   }
   for (uint64_t t = 0; t < num_triples; ++t) {
     uint32_t head, rel, tail;
-    CEAFF_RETURN_IF_ERROR(TakeU32(in, &head));
-    CEAFF_RETURN_IF_ERROR(TakeU32(in, &rel));
-    CEAFF_RETURN_IF_ERROR(TakeU32(in, &tail));
+    CEAFF_RETURN_IF_ERROR(in->Take(&head, "u32"));
+    CEAFF_RETURN_IF_ERROR(in->Take(&rel, "u32"));
+    CEAFF_RETURN_IF_ERROR(in->Take(&tail, "u32"));
     Status st = g->AddTriple(head, rel, tail);
     if (!st.ok()) {
       return Status::DataLoss("out-of-range triple in delta-state snapshot");
@@ -198,76 +223,60 @@ Status TakeKg(std::istream& in, kg::KnowledgeGraph* g, uint64_t remaining) {
   return Status::OK();
 }
 
-uint64_t Remaining(std::istream& in, size_t total) {
-  const std::streampos pos = in.tellg();
-  if (pos < 0) return 0;
-  const size_t at = static_cast<size_t>(pos);
-  return at >= total ? 0 : total - at;
-}
-
 }  // namespace
 
 std::string SerializeDeltaState(const DeltaState& state) {
-  std::ostringstream out;
-  out.write(kMagic, sizeof(kMagic));
-  PutU32(out, kVersion);
-  PutU64(out, state.watermark);
-  PutStr(out, state.dataset);
-  PutU32(out, state.semantic_dim);
-  PutU64(out, state.semantic_seed);
-  PutU32(out, state.gcn_dim);
-  PutU64(out, state.gcn_seed);
-  PutU8(out, state.use_structural ? 1 : 0);
-  PutU8(out, state.use_semantic ? 1 : 0);
-  PutU8(out, state.use_string ? 1 : 0);
-  PutU8(out, state.string_metric);
-  PutU8(out, state.two_stage ? 1 : 0);
-  PutU8(out, state.adj_functionality_weighted ? 1 : 0);
-  PutU8(out, state.adj_add_self_loops ? 1 : 0);
-  PutU8(out, state.adj_symmetric_normalize ? 1 : 0);
-  PutDoubleVec(out, state.textual_weights);
-  PutDoubleVec(out, state.final_weights);
-  PutKg(out, state.kg1);
-  PutKg(out, state.kg2);
-  PutU32Vec(out, state.source_ids);
-  PutU32Vec(out, state.target_ids);
-  for (const la::Matrix* m :
-       {&state.x1, &state.x2, &state.src_struct_emb, &state.tgt_struct_emb,
-        &state.src_name_emb, &state.tgt_name_emb, &state.fused}) {
-    // ostringstream never fails short of OOM; the Status is structural.
-    Status st = la::WriteMatrixSection(*m, out);
-    CEAFF_CHECK(st.ok()) << st.message();
+  const la::Matrix* const matrices[] = {
+      &state.x1,           &state.x2,           &state.src_struct_emb,
+      &state.tgt_struct_emb, &state.src_name_emb, &state.tgt_name_emb,
+      &state.fused};
+  size_t matrix_bytes = 0;
+  for (const la::Matrix* m : matrices) matrix_bytes += m->size() * 4 + 16;
+  std::string out;
+  out.reserve(matrix_bytes + 4096);
+  out.append(kMagic, sizeof(kMagic));
+  Put(&out, kVersion);
+  Put(&out, state.watermark);
+  PutStr(&out, state.dataset);
+  Put(&out, state.semantic_dim);
+  Put(&out, state.semantic_seed);
+  Put(&out, state.gcn_dim);
+  Put(&out, state.gcn_seed);
+  for (bool b : {state.use_structural, state.use_semantic, state.use_string}) {
+    Put<uint8_t>(&out, b ? 1 : 0);
   }
-  PutU64(out, state.prefs.size());
-  PutU64(out, state.target_ids.size());
-  for (const std::vector<uint32_t>& row : state.prefs) {
-    CEAFF_CHECK(row.size() == state.target_ids.size());
-    for (uint32_t x : row) PutU32(out, x);
+  Put(&out, state.string_metric);
+  for (bool b : {state.two_stage, state.adj_functionality_weighted,
+                 state.adj_add_self_loops, state.adj_symmetric_normalize}) {
+    Put<uint8_t>(&out, b ? 1 : 0);
   }
-  std::string bytes = std::move(out).str();
-  const uint32_t crc = Crc32Of(bytes.data(), bytes.size());
-  char trailer[4];
-  std::memcpy(trailer, &crc, 4);
-  bytes.append(trailer, 4);
-  return bytes;
+  PutDoubleVec(&out, state.textual_weights);
+  PutDoubleVec(&out, state.final_weights);
+  PutKg(&out, state.kg1);
+  PutKg(&out, state.kg2);
+  PutU32Vec(&out, state.source_ids);
+  PutU32Vec(&out, state.target_ids);
+  for (const la::Matrix* m : matrices) PutMatrix(&out, *m);
+  Put(&out, Crc32Of(out.data(), out.size()));
+  return out;
 }
 
-Status ValidateDeltaStateBytes(const std::string& bytes) {
-  if (bytes.size() < sizeof(kMagic) + 4 + kTrailerBytes) {
+Status ValidateDeltaStateBytes(std::string_view bytes) {
+  if (bytes.size() < kHeaderBytes + kTrailerBytes) {
     return Status::DataLoss("delta state too small");
   }
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::DataLoss("bad delta-state magic");
   }
   uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 8, 4);
-  if (version != kVersion) {
+  std::memcpy(&version, bytes.data() + sizeof(kMagic), 4);
+  if (version != kVersion && version != kVersionWithPrefs) {
     return Status::DataLoss(
         StrFormat("unsupported delta-state version %u", version));
   }
   uint32_t stored = 0;
-  std::memcpy(&stored, bytes.data() + bytes.size() - 4, 4);
-  const uint32_t actual = Crc32Of(bytes.data(), bytes.size() - 4);
+  std::memcpy(&stored, bytes.data() + bytes.size() - kTrailerBytes, 4);
+  const uint32_t actual = Crc32Of(bytes.data(), bytes.size() - kTrailerBytes);
   if (stored != actual) {
     return Status::DataLoss("delta-state CRC mismatch");
   }
@@ -275,61 +284,43 @@ Status ValidateDeltaStateBytes(const std::string& bytes) {
 }
 
 StatusOr<DeltaState> ParseDeltaState(std::string_view bytes) {
-  const std::string owned(bytes);
-  CEAFF_RETURN_IF_ERROR(ValidateDeltaStateBytes(owned));
-  const std::string content = owned.substr(0, owned.size() - kTrailerBytes);
-  std::istringstream in(content);
-  in.seekg(sizeof(kMagic) + 4);
+  CEAFF_RETURN_IF_ERROR(ValidateDeltaStateBytes(bytes));
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + sizeof(kMagic), 4);
+  Reader in(bytes.substr(kHeaderBytes,
+                         bytes.size() - kHeaderBytes - kTrailerBytes));
 
   DeltaState state;
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &state.watermark));
-  CEAFF_RETURN_IF_ERROR(
-      TakeStr(in, &state.dataset, Remaining(in, content.size())));
-  CEAFF_RETURN_IF_ERROR(TakeU32(in, &state.semantic_dim));
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &state.semantic_seed));
-  CEAFF_RETURN_IF_ERROR(TakeU32(in, &state.gcn_dim));
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &state.gcn_seed));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.use_structural));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.use_semantic));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.use_string));
-  CEAFF_RETURN_IF_ERROR(TakeU8(in, &state.string_metric));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.two_stage));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.adj_functionality_weighted));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.adj_add_self_loops));
-  CEAFF_RETURN_IF_ERROR(TakeBool(in, &state.adj_symmetric_normalize));
-  CEAFF_RETURN_IF_ERROR(TakeDoubleVec(in, &state.textual_weights));
-  CEAFF_RETURN_IF_ERROR(TakeDoubleVec(in, &state.final_weights));
-  CEAFF_RETURN_IF_ERROR(
-      TakeKg(in, &state.kg1, Remaining(in, content.size())));
-  CEAFF_RETURN_IF_ERROR(
-      TakeKg(in, &state.kg2, Remaining(in, content.size())));
-  CEAFF_RETURN_IF_ERROR(
-      TakeU32Vec(in, &state.source_ids, Remaining(in, content.size())));
-  CEAFF_RETURN_IF_ERROR(
-      TakeU32Vec(in, &state.target_ids, Remaining(in, content.size())));
+  CEAFF_RETURN_IF_ERROR(in.Take(&state.watermark, "u64"));
+  CEAFF_RETURN_IF_ERROR(in.Str(&state.dataset));
+  CEAFF_RETURN_IF_ERROR(in.Take(&state.semantic_dim, "u32"));
+  CEAFF_RETURN_IF_ERROR(in.Take(&state.semantic_seed, "u64"));
+  CEAFF_RETURN_IF_ERROR(in.Take(&state.gcn_dim, "u32"));
+  CEAFF_RETURN_IF_ERROR(in.Take(&state.gcn_seed, "u64"));
+  CEAFF_RETURN_IF_ERROR(in.Bool(&state.use_structural));
+  CEAFF_RETURN_IF_ERROR(in.Bool(&state.use_semantic));
+  CEAFF_RETURN_IF_ERROR(in.Bool(&state.use_string));
+  CEAFF_RETURN_IF_ERROR(in.Take(&state.string_metric, "u8"));
+  CEAFF_RETURN_IF_ERROR(in.Bool(&state.two_stage));
+  CEAFF_RETURN_IF_ERROR(in.Bool(&state.adj_functionality_weighted));
+  CEAFF_RETURN_IF_ERROR(in.Bool(&state.adj_add_self_loops));
+  CEAFF_RETURN_IF_ERROR(in.Bool(&state.adj_symmetric_normalize));
+  CEAFF_RETURN_IF_ERROR(in.DoubleVec(&state.textual_weights));
+  CEAFF_RETURN_IF_ERROR(in.DoubleVec(&state.final_weights));
+  CEAFF_RETURN_IF_ERROR(TakeKg(&in, &state.kg1));
+  CEAFF_RETURN_IF_ERROR(TakeKg(&in, &state.kg2));
+  CEAFF_RETURN_IF_ERROR(in.U32Vec(&state.source_ids));
+  CEAFF_RETURN_IF_ERROR(in.U32Vec(&state.target_ids));
   for (la::Matrix* m :
        {&state.x1, &state.x2, &state.src_struct_emb, &state.tgt_struct_emb,
         &state.src_name_emb, &state.tgt_name_emb, &state.fused}) {
-    CEAFF_ASSIGN_OR_RETURN(
-        *m, la::ReadMatrixSection(in, Remaining(in, content.size())));
+    CEAFF_RETURN_IF_ERROR(in.Matrix(m));
   }
-  uint64_t pref_rows = 0;
-  uint64_t pref_cols = 0;
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &pref_rows));
-  CEAFF_RETURN_IF_ERROR(TakeU64(in, &pref_cols));
-  if (pref_rows != state.source_ids.size() ||
-      pref_cols != state.target_ids.size() ||
-      pref_rows * pref_cols * 4 > Remaining(in, content.size())) {
-    return Status::DataLoss("delta-state preference shape mismatch");
+  if (version == kVersionWithPrefs) {
+    CEAFF_RETURN_IF_ERROR(
+        in.SkipPrefs(state.source_ids.size(), state.target_ids.size()));
   }
-  state.prefs.resize(pref_rows);
-  for (uint64_t r = 0; r < pref_rows; ++r) {
-    state.prefs[r].resize(pref_cols);
-    for (uint64_t c = 0; c < pref_cols; ++c) {
-      CEAFF_RETURN_IF_ERROR(TakeU32(in, &state.prefs[r][c]));
-    }
-  }
-  if (Remaining(in, content.size()) != 0) {
+  if (in.remaining() != 0) {
     return Status::DataLoss("trailing bytes in delta state");
   }
   return state;
@@ -440,7 +431,6 @@ StatusOr<DeltaState> BuildDeltaState(const kg::KgPair& pair,
         store, core::GatherNames(pair.kg2, state.target_ids));
   }
   state.fused = result.fused;
-  state.prefs = matching::BuildPreferenceLists(result.fused);
   return state;
 }
 

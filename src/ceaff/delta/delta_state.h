@@ -28,8 +28,10 @@ namespace ceaff::delta {
 /// frozen model, so repaired and rebuilt results are bit-identical.
 ///
 /// Persisted as the artifact "state" in a GenerationalStore (failpoint
-/// scope "delta_state"): container magic "CEAFFDLT", version 1,
-/// little-endian, whole-file CRC-32 trailer.
+/// scope "delta_state"): container magic "CEAFFDLT", version 2,
+/// little-endian, whole-file CRC-32 trailer. Version 1 states, which also
+/// carried every source's sorted preference list, still load: the reader
+/// checks that block's shape and skips it.
 struct DeltaState {
   /// Highest journal record id folded into this state. Records at or
   /// below it are skipped on replay.
@@ -83,11 +85,8 @@ struct DeltaState {
   la::Matrix tgt_name_emb;
 
   /// Fused similarity over the serving split (|source_ids| x |target_ids|).
+  /// The collective matching is derived from it by DAA on demand.
   la::Matrix fused;
-  /// Per-source preference lists (each a permutation of 0..|target_ids|-1,
-  /// scores descending, ties by ascending index) — the DAA input, kept so
-  /// repair only re-sorts rows whose scores changed.
-  std::vector<std::vector<uint32_t>> prefs;
 };
 
 /// Serialises to the container format above (CRC trailer included).
@@ -96,9 +95,10 @@ std::string SerializeDeltaState(const DeltaState& state);
 /// Cheap integrity check (magic, version, whole-file CRC) — the
 /// GenerationalStore validator, so a corrupt newest generation falls back
 /// to the previous one instead of failing the load.
-Status ValidateDeltaStateBytes(const std::string& bytes);
+Status ValidateDeltaStateBytes(std::string_view bytes);
 
-/// Full parse. kDataLoss on any corruption.
+/// Full parse of version 1 or 2 bytes, read in place. kDataLoss on any
+/// corruption.
 StatusOr<DeltaState> ParseDeltaState(std::string_view bytes);
 
 /// Opens (and Init()s) the generational store at `dir` used for delta

@@ -48,16 +48,6 @@ Status CheckShapes(const DeltaState& s) {
     return GateFail(StrFormat("fused is %zux%zu, serving split is %zux%zu",
                               s.fused.rows(), s.fused.cols(), n1, n2));
   }
-  if (s.prefs.size() != n1) {
-    return GateFail(StrFormat("%zu preference rows for %zu sources",
-                              s.prefs.size(), n1));
-  }
-  for (size_t i = 0; i < n1; ++i) {
-    if (s.prefs[i].size() != n2) {
-      return GateFail(StrFormat("preference row %zu has %zu entries, want %zu",
-                                i, s.prefs[i].size(), n2));
-    }
-  }
   if (s.use_structural) {
     if (s.x1.rows() != s.kg1.num_entities() ||
         s.x2.rows() != s.kg2.num_entities()) {
@@ -148,12 +138,11 @@ Status VerifyDeltaState(const DeltaState& candidate,
   CEAFF_RETURN_IF_ERROR(CheckShapes(s));
   CEAFF_RETURN_IF_ERROR(CheckFrozenWeights(s));
 
-  // Stability: the matching implied by (fused, prefs) must admit no
-  // blocking pair. DeferredAcceptanceWithPrefs also validates that every
-  // preference row is a permutation.
+  // Stability: the DAA matching of the fused matrix must admit no
+  // blocking pair.
   CEAFF_ASSIGN_OR_RETURN(const matching::MatchResult match,
-                         matching::DeferredAcceptanceWithPrefs(s.fused,
-                                                               s.prefs));
+                         matching::DeferredAcceptanceChecked(s.fused,
+                                                             ctx.cancel));
   if (const size_t blocking = matching::CountBlockingPairs(s.fused, match);
       blocking != 0) {
     return GateFail(StrFormat("matching admits %zu blocking pairs",
@@ -211,19 +200,6 @@ Status VerifyDeltaState(const DeltaState& candidate,
             "fused(%u, %zu) = %.9g diverges from recomputed %.9g", i, j,
             static_cast<double>(got[j]), static_cast<double>(want[j])));
       }
-    }
-    // The stored preference row must be the exact argsort of the fused row.
-    std::vector<uint32_t> want_prefs(s.fused.cols());
-    for (size_t j = 0; j < want_prefs.size(); ++j) {
-      want_prefs[j] = static_cast<uint32_t>(j);
-    }
-    std::sort(want_prefs.begin(), want_prefs.end(),
-              [got](uint32_t a, uint32_t b) {
-                return got[a] != got[b] ? got[a] > got[b] : a < b;
-              });
-    if (want_prefs != s.prefs[i]) {
-      return GateFail(StrFormat("preference row %u is not the argsort of "
-                                "its fused row", i));
     }
   }
   return Status::OK();

@@ -26,23 +26,22 @@ struct VerifyOptions {
 };
 
 /// Runs the full gate over a candidate state:
-///   1. structural invariants — shapes consistent, serving ids in range,
-///      preference lists well-formed;
+///   1. structural invariants — shapes consistent, serving ids in range;
 ///   2. frozen-weight sanity — finite, non-negative, summing to 1 within
 ///      1e-6 (single-feature states carry the degenerate weight {1});
-///   3. stable-matching check — the DAA match implied by (fused, prefs)
-///      admits zero blocking pairs;
+///   3. stable-matching check — the DAA match of the fused matrix admits
+///      zero blocking pairs;
 ///   4. sampled divergence audit — for the sampled rows, recompute the
 ///      structural propagation (full two-hop, from the graphs and the
 ///      frozen X), every enabled similarity strip and the fusion, then
-///      compare against the candidate's rows cell by cell, and check each
-///      sampled preference row equals the argsort of its fused row.
+///      compare against the candidate's rows cell by cell.
 ///
 /// `dirty_rows` (serving row indices the repair recomputed) bias the audit
 /// sample toward what actually changed; pass empty for a from-scratch
-/// state. Failpoint sites: "delta.verify.gate" (arm `error` to simulate a
-/// gate I/O failure) and "delta.verify.force_fail" (arm `error` to force a
-/// verification verdict failure — the quarantine drill hook).
+/// state. `ctx.cancel` is also polled by the matching. Failpoint sites:
+/// "delta.verify.gate" (arm `error` to simulate a gate I/O failure) and
+/// "delta.verify.force_fail" (arm `error` to force a verification verdict
+/// failure — the quarantine drill hook).
 Status VerifyDeltaState(const DeltaState& candidate,
                         const std::vector<uint32_t>& dirty_rows,
                         const VerifyOptions& options,

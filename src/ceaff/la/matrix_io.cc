@@ -27,57 +27,6 @@ static_assert(sizeof(Prefix) == kPrefixBytes, "artifact prefix must pack");
 
 }  // namespace
 
-Status WriteMatrixSection(const Matrix& m, std::ostream& out, Crc32* crc) {
-  const uint64_t rows = m.rows();
-  const uint64_t cols = m.cols();
-  out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-  out.write(reinterpret_cast<const char*>(m.data()),
-            static_cast<std::streamsize>(m.size() * sizeof(float)));
-  if (!out) return Status::IOError("matrix section write failed");
-  if (crc != nullptr) {
-    crc->Update(&rows, sizeof(rows));
-    crc->Update(&cols, sizeof(cols));
-    crc->Update(m.data(), m.size() * sizeof(float));
-  }
-  return Status::OK();
-}
-
-StatusOr<Matrix> ReadMatrixSection(std::istream& in,
-                                   uint64_t max_payload_bytes, Crc32* crc) {
-  uint64_t rows = 0, cols = 0;
-  in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-  in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-  if (!in) return Status::DataLoss("cannot read matrix section shape");
-
-  // Validate the declared shape against what the caller can accept *before*
-  // allocating, so a corrupted header cannot trigger a huge allocation.
-  const uint64_t elems = rows * cols;
-  if (cols != 0 && rows != elems / cols) {
-    return Status::DataLoss("matrix section shape overflows");
-  }
-  if (elems > max_payload_bytes / sizeof(float)) {
-    return Status::DataLoss(StrFormat(
-        "matrix section declares %llux%llu (%llu bytes) but only %llu bytes "
-        "remain — truncated or corrupted artifact",
-        static_cast<unsigned long long>(rows),
-        static_cast<unsigned long long>(cols),
-        static_cast<unsigned long long>(elems * sizeof(float)),
-        static_cast<unsigned long long>(max_payload_bytes)));
-  }
-
-  Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  in.read(reinterpret_cast<char*>(m.data()),
-          static_cast<std::streamsize>(elems * sizeof(float)));
-  if (!in) return Status::DataLoss("cannot read matrix section payload");
-  if (crc != nullptr) {
-    crc->Update(&rows, sizeof(rows));
-    crc->Update(&cols, sizeof(cols));
-    crc->Update(m.data(), m.size() * sizeof(float));
-  }
-  return m;
-}
-
 std::string SerializeMatrixArtifact(const Matrix& m) {
   Prefix prefix;
   std::memcpy(prefix.magic, kMagic, sizeof(kMagic));

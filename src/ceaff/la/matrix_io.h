@@ -2,12 +2,9 @@
 #define CEAFF_LA_MATRIX_IO_H_
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <string_view>
 
-#include "ceaff/common/crc32.h"
 #include "ceaff/common/statusor.h"
 #include "ceaff/la/matrix.h"
 
@@ -54,26 +51,6 @@ Status SaveMatrixArtifact(const Matrix& m, const std::string& path,
 /// kDataLoss when it exists but fails validation (bad magic/version,
 /// wrong size, CRC mismatch).
 StatusOr<Matrix> LoadMatrixArtifact(const std::string& path);
-
-/// Stream-level framing blocks — the shared building blocks of the
-/// single-matrix artifact above and of composite artifacts (the serving
-/// layer's AlignmentIndex container embeds many matrices in one file).
-/// A section is: rows (uint64) + cols (uint64) + rows*cols float32
-/// payload, row-major, little-endian. When `crc` is non-null every byte
-/// written/read is also fed into it, so composite writers accumulate a
-/// single checksum across all their sections.
-
-/// Appends one matrix section to `out`. kIOError on stream failure.
-Status WriteMatrixSection(const Matrix& m, std::ostream& out,
-                          Crc32* crc = nullptr);
-
-/// Reads one matrix section. `max_payload_bytes` bounds the payload this
-/// caller is prepared to accept (typically derived from the remaining file
-/// size) so a corrupted shape header can never trigger an oversized
-/// allocation; a declared shape exceeding it is kDataLoss.
-StatusOr<Matrix> ReadMatrixSection(std::istream& in,
-                                   uint64_t max_payload_bytes,
-                                   Crc32* crc = nullptr);
 
 }  // namespace ceaff::la
 

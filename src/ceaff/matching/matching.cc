@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
-#include <numeric>
 #include <queue>
 
 #include "ceaff/la/ops.h"
@@ -74,61 +74,86 @@ MatchResult GreedyOneToOne(const la::Matrix& similarity) {
   return result;
 }
 
-std::vector<std::vector<uint32_t>> BuildPreferenceLists(
-    const la::Matrix& similarity) {
-  // Preference lists of sources: target indices sorted by descending score,
-  // ties to the lower index (deterministic).
-  const size_t n1 = similarity.rows();
-  const size_t n2 = similarity.cols();
-  std::vector<std::vector<uint32_t>> prefs(n1);
-  for (size_t i = 0; i < n1; ++i) {
-    const float* row = similarity.row(i);
-    prefs[i].resize(n2);
-    std::iota(prefs[i].begin(), prefs[i].end(), 0u);
-    std::sort(prefs[i].begin(), prefs[i].end(),
-              [row](uint32_t a, uint32_t b) {
-                return row[a] != row[b] ? row[a] > row[b] : a < b;
-              });
-  }
-  return prefs;
-}
-
 namespace {
 
-/// Shared Gale–Shapley engine; `trace`, `cancel` and `prefs` may be null
-/// (null prefs are built from the matrix). The cancellation token is
-/// polled once per n1 proposals (one nominal "round"), so even adversarial
-/// instances with O(n1·n2) proposals stay responsive without paying an
-/// atomic load per proposal.
+/// The one preference order of the collective step, for sources ranking
+/// targets and targets ranking sources alike: the higher score first and,
+/// on equal scores (+0 and -0 included), the lower index first.
+bool Outranks(float score_a, uint32_t a, float score_b, uint32_t b) {
+  return score_a != score_b ? score_a > score_b : a < b;
+}
+
+/// One source's preference list, derived from its similarity row on
+/// demand instead of sorted up front. The cursor holds only the next
+/// batch of targets in preference order. A refill scans the row once,
+/// keeps the targets ranked after the last one handed out, and sorts only
+/// the best `want_` of them; `want_` starts at 16 and doubles on every
+/// refill, so a source that proposes p times refills O(log p) times and
+/// holds at most p + 16 entries. Most sources of a real fused matrix
+/// propose once or twice and never sort beyond their first 16 targets.
+class ProposalCursor {
+ public:
+  /// Sets `*target` to the next target in preference order. False once
+  /// every target of the row has been handed out. `scratch` is a buffer
+  /// shared by all cursors of one run.
+  bool Next(const float* row, size_t n2, std::vector<uint32_t>* scratch,
+            uint32_t* target) {
+    if (pos_ == batch_.size()) {
+      if (last_batch_) return false;
+      Refill(row, n2, scratch);
+      if (batch_.empty()) return false;
+    }
+    *target = batch_[pos_++];
+    return true;
+  }
+
+ private:
+  void Refill(const float* row, size_t n2, std::vector<uint32_t>* scratch) {
+    scratch->clear();
+    if (batch_.empty()) {
+      for (uint32_t j = 0; j < n2; ++j) scratch->push_back(j);
+    } else {
+      const uint32_t last = batch_.back();
+      const float last_score = row[last];
+      for (uint32_t j = 0; j < n2; ++j) {
+        if (Outranks(last_score, last, row[j], j)) scratch->push_back(j);
+      }
+    }
+    const auto ranks_before = [row](uint32_t a, uint32_t b) {
+      return Outranks(row[a], a, row[b], b);
+    };
+    const size_t take = std::min(want_, scratch->size());
+    const auto mid = scratch->begin() + static_cast<std::ptrdiff_t>(take);
+    std::partial_sort(scratch->begin(), mid, scratch->end(), ranks_before);
+    batch_.assign(scratch->begin(), mid);
+    pos_ = 0;
+    last_batch_ = take == scratch->size();
+    want_ *= 2;
+  }
+
+  std::vector<uint32_t> batch_;  // the next targets, best first
+  size_t pos_ = 0;               // first entry of batch_ not handed out
+  size_t want_ = 16;             // batch size of the next refill
+  bool last_batch_ = false;      // batch_ holds every remaining target
+};
+
+/// Shared Gale–Shapley engine; `trace` and `cancel` may be null. The
+/// cancellation token is polled once per n1 proposals (one nominal
+/// "round"), so even adversarial instances with O(n1·n2) proposals stay
+/// responsive without paying an atomic load per proposal.
 StatusOr<MatchResult> DaaImpl(const la::Matrix& similarity,
                               std::vector<DaaTraceEvent>* trace,
-                              const CancellationToken* cancel,
-                              const std::vector<std::vector<uint32_t>>*
-                                  caller_prefs = nullptr) {
+                              const CancellationToken* cancel) {
   const size_t n1 = similarity.rows();
   const size_t n2 = similarity.cols();
   MatchResult result;
   result.target_of_source.assign(n1, -1);
   if (n1 == 0 || n2 == 0) return result;
 
-  std::vector<std::vector<uint32_t>> own_prefs;
-  if (caller_prefs == nullptr) {
-    own_prefs = BuildPreferenceLists(similarity);
-  }
-  const std::vector<std::vector<uint32_t>>& prefs =
-      caller_prefs != nullptr ? *caller_prefs : own_prefs;
-
-  // Target-side preference: j prefers i over i' iff sim(i,j) > sim(i',j),
-  // ties to the lower source index — compared directly on the matrix.
-  auto target_prefers = [&similarity](uint32_t j, uint32_t challenger,
-                                      uint32_t incumbent) {
-    float sc = similarity.at(challenger, j);
-    float si = similarity.at(incumbent, j);
-    return sc != si ? sc > si : challenger < incumbent;
-  };
-
+  std::vector<ProposalCursor> cursors(n1);
+  std::vector<uint32_t> scratch;
+  scratch.reserve(n2);
   std::vector<int64_t> source_of_target(n2, -1);
-  std::vector<uint32_t> next_proposal(n1, 0);
   // Track the proposal round per source for the trace (round = how many
   // times it has re-entered the free queue).
   std::vector<size_t> round_of_source(n1, 1);
@@ -142,12 +167,17 @@ StatusOr<MatchResult> DaaImpl(const la::Matrix& similarity,
     }
     uint32_t u = free_sources.front();
     free_sources.pop();
-    if (next_proposal[u] >= n2) continue;  // exhausted (only when n1 > n2)
-    uint32_t v = prefs[u][next_proposal[u]++];
+    uint32_t v = 0;
+    if (!cursors[u].Next(similarity.row(u), n2, &scratch, &v)) {
+      continue;  // exhausted (only when n1 > n2)
+    }
+    // Target-side preference, compared directly on the matrix column.
     int64_t incumbent = source_of_target[v];
     bool accepted =
         incumbent < 0 ||
-        target_prefers(v, u, static_cast<uint32_t>(incumbent));
+        Outranks(similarity.at(u, v), u,
+                 similarity.at(static_cast<size_t>(incumbent), v),
+                 static_cast<uint32_t>(incumbent));
     if (trace != nullptr) {
       trace->push_back({round_of_source[u], u, v, accepted,
                         accepted ? incumbent : -1});
@@ -178,23 +208,6 @@ MatchResult DeferredAcceptance(const la::Matrix& similarity) {
 StatusOr<MatchResult> DeferredAcceptanceChecked(
     const la::Matrix& similarity, const CancellationToken* cancel) {
   return DaaImpl(similarity, nullptr, cancel);
-}
-
-StatusOr<MatchResult> DeferredAcceptanceWithPrefs(
-    const la::Matrix& similarity,
-    const std::vector<std::vector<uint32_t>>& prefs,
-    const CancellationToken* cancel) {
-  if (prefs.size() != similarity.rows()) {
-    return Status::InvalidArgument(
-        "preference lists do not match similarity rows");
-  }
-  for (const std::vector<uint32_t>& row : prefs) {
-    if (row.size() != similarity.cols()) {
-      return Status::InvalidArgument(
-          "a preference list does not cover every target");
-    }
-  }
-  return DaaImpl(similarity, nullptr, cancel, &prefs);
 }
 
 MatchResult DeferredAcceptanceTraced(const la::Matrix& similarity,
@@ -297,15 +310,13 @@ size_t CountBlockingPairs(const la::Matrix& similarity,
   auto src_pref = [&similarity](uint32_t i, uint32_t j, int64_t cur) {
     // Does source i strictly prefer target j to its current target?
     if (cur < 0) return true;  // unmatched prefers anyone
-    float sj = similarity.at(i, j);
-    float sc = similarity.at(i, static_cast<size_t>(cur));
-    return sj != sc ? sj > sc : j < static_cast<uint32_t>(cur);
+    const uint32_t c = static_cast<uint32_t>(cur);
+    return Outranks(similarity.at(i, j), j, similarity.at(i, c), c);
   };
   auto dst_pref = [&similarity](uint32_t j, uint32_t i, int64_t cur) {
     if (cur < 0) return true;
-    float si = similarity.at(i, j);
-    float sc = similarity.at(static_cast<size_t>(cur), j);
-    return si != sc ? si > sc : i < static_cast<uint32_t>(cur);
+    const uint32_t c = static_cast<uint32_t>(cur);
+    return Outranks(similarity.at(i, j), i, similarity.at(c, j), c);
   };
   size_t blocking = 0;
   for (uint32_t i = 0; i < n1; ++i) {

@@ -37,9 +37,16 @@ MatchResult GreedyOneToOne(const la::Matrix& similarity);
 /// descending with lower index breaking ties, and the match is produced by
 /// the source-proposing Deferred Acceptance Algorithm (Gale–Shapley).
 ///
-/// Complexity O(n1·n2·log n2 + n1·n2); every source is matched when
-/// n1 <= n2, and the result admits no blocking pair (CountBlockingPairs
-/// returns 0) with respect to these preferences.
+/// A source's preference list is never materialised: its next targets are
+/// derived from its row on demand, in batches of 16 that double on every
+/// refill, each refill one O(n2) scan of the row. Most sources propose
+/// once or twice, so a typical run costs about one pass over the matrix,
+/// O(n1·n2). The worst case, every source sharing one order (≈ n1·n2/2
+/// proposals), costs O(n1·n2·log n2), the same bound as sorting every
+/// list. Working memory is O(n1·16 + proposals + n2); no n1 x n2 index
+/// structure is built. Every source is matched when n1 <= n2, and the
+/// result admits no blocking pair (CountBlockingPairs returns 0) with
+/// respect to these preferences.
 MatchResult DeferredAcceptance(const la::Matrix& similarity);
 
 /// DeferredAcceptance with cooperative cancellation: `cancel` (may be
@@ -47,25 +54,6 @@ MatchResult DeferredAcceptance(const la::Matrix& similarity);
 /// kCancelled/kDeadlineExceeded instead of completing the matching.
 StatusOr<MatchResult> DeferredAcceptanceChecked(
     const la::Matrix& similarity, const CancellationToken* cancel);
-
-/// The preference lists DeferredAcceptance builds internally: row i holds
-/// every target id sorted by descending similarity(i, ·), ties to the
-/// lower index. Exposed so incremental callers (the delta-repair path) can
-/// persist the lists, patch only the rows whose scores changed, and replay
-/// the proposal loop without re-sorting every row.
-std::vector<std::vector<uint32_t>> BuildPreferenceLists(
-    const la::Matrix& similarity);
-
-/// DeferredAcceptance over caller-provided preference lists. `prefs` must
-/// be exactly what BuildPreferenceLists(similarity) would return (every
-/// row a permutation of all target ids in descending-score order); the
-/// target-side comparisons still read `similarity` directly. The result is
-/// bit-identical to DeferredAcceptance(similarity). InvalidArgument on a
-/// shape mismatch.
-StatusOr<MatchResult> DeferredAcceptanceWithPrefs(
-    const la::Matrix& similarity,
-    const std::vector<std::vector<uint32_t>>& prefs,
-    const CancellationToken* cancel = nullptr);
 
 /// Target-proposing deferred acceptance: the mirror matching in which
 /// targets propose to sources. Gale–Shapley is proposer-optimal, so this

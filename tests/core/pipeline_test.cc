@@ -288,5 +288,25 @@ TEST(PipelineHelperTest, TestIdsFollowAlignmentOrder) {
   EXPECT_EQ(tgt, (std::vector<uint32_t>{1, 2}));
 }
 
+TEST(PipelineHelperTest, ServingWeightsFlattensTwoStageFusion) {
+  // final = (w_s, w_textual), textual = (w_n, w_l); extras are dropped.
+  const std::vector<double> w =
+      ServingWeights({0.25, 0.75}, {0.6, 0.4, 0.1}, true, true, true);
+  ASSERT_EQ(w.size(), 3u);
+  EXPECT_DOUBLE_EQ(w[0], 0.6);
+  EXPECT_DOUBLE_EQ(w[1], 0.4 * 0.25);
+  EXPECT_DOUBLE_EQ(w[2], 0.4 * 0.75);
+}
+
+TEST(PipelineHelperTest, ServingWeightsReadsFlatWeightsInFeatureOrder) {
+  EXPECT_EQ(ServingWeights({}, {0.3, 0.7}, true, false, true),
+            (std::vector<double>{0.3, 0.0, 0.7}));
+  EXPECT_EQ(ServingWeights({}, {1.0}, false, true, false),
+            (std::vector<double>{0.0, 1.0, 0.0}));
+  // Missing weights read as zero instead of running off the end.
+  EXPECT_EQ(ServingWeights({}, {0.5}, true, true, true),
+            (std::vector<double>{0.5, 0.0, 0.0}));
+}
+
 }  // namespace
 }  // namespace ceaff::core

@@ -11,10 +11,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "ceaff/common/crc32.h"
 #include "ceaff/common/failpoint.h"
 #include "ceaff/common/random.h"
 #include "ceaff/common/string_util.h"
@@ -512,6 +515,164 @@ TEST_F(DeltaEquivalenceTest, StateSerializationRoundTripsAndDetectsRot) {
   bytes[bytes.size() / 2] ^= 0x10;
   EXPECT_FALSE(ValidateDeltaStateBytes(bytes).ok());
   EXPECT_FALSE(ParseDeltaState(bytes).ok());
+}
+
+// ---------------------------------------------------------------------------
+// State format: version-1 compatibility and decoder robustness.
+
+/// Replaces the CRC-32 trailer of `bytes` with the checksum of the rest.
+void Reseal(std::string* bytes) {
+  bytes->resize(bytes->size() - 4);
+  const uint32_t crc = Crc32Of(bytes->data(), bytes->size());
+  bytes->append(reinterpret_cast<const char*>(&crc), 4);
+}
+
+/// The version-1 encoding of `s`: the version-2 payload with the version
+/// field set to 1 and, after the fused matrix, the per-source preference
+/// block version 1 carried (u64 rows, u64 cols, then every row's target
+/// ids by descending score), CRC recomputed. `extra_rows` skews the
+/// declared row count to build a block that disagrees with the ids.
+std::string V1Bytes(const DeltaState& s, uint64_t extra_rows = 0) {
+  std::string bytes = SerializeDeltaState(s);
+  bytes.resize(bytes.size() - 4);
+  const uint32_t version = 1;
+  std::memcpy(&bytes[8], &version, 4);
+  const uint64_t rows = s.fused.rows() + extra_rows;
+  const uint64_t cols = s.fused.cols();
+  bytes.append(reinterpret_cast<const char*>(&rows), 8);
+  bytes.append(reinterpret_cast<const char*>(&cols), 8);
+  for (size_t i = 0; i < s.fused.rows(); ++i) {
+    const float* row = s.fused.row(i);
+    std::vector<uint32_t> order(s.fused.cols());
+    for (uint32_t j = 0; j < order.size(); ++j) order[j] = j;
+    std::stable_sort(order.begin(), order.end(),
+                     [row](uint32_t a, uint32_t b) { return row[a] > row[b]; });
+    bytes.append(reinterpret_cast<const char*>(order.data()),
+                 order.size() * 4);
+  }
+  bytes.append(4, '\0');
+  Reseal(&bytes);
+  return bytes;
+}
+
+/// Byte offsets where each section of a version-2 state begins, plus the
+/// offset of the CRC trailer — the layout of SerializeDeltaState.
+std::vector<size_t> SectionBoundaries(const DeltaState& s) {
+  std::vector<size_t> at = {0, 12};  // magic + version
+  auto next = [&at](size_t bytes) { at.push_back(at.back() + bytes); };
+  next(8);                          // watermark
+  next(4 + s.dataset.size());       // dataset
+  next(4 + 8 + 4 + 8);              // semantic dim/seed, gcn dim/seed
+  next(8);                          // flags and string metric
+  next(4 + 8 * s.textual_weights.size());
+  next(4 + 8 * s.final_weights.size());
+  for (const kg::KnowledgeGraph* g : {&s.kg1, &s.kg2}) {
+    size_t entities = 8;
+    for (uint32_t e = 0; e < g->num_entities(); ++e) {
+      entities += 8 + g->entity_uri(e).size() + g->entity_name(e).size();
+    }
+    next(entities);
+    size_t relations = 8;
+    for (uint32_t r = 0; r < g->num_relations(); ++r) {
+      relations += 4 + g->relation_uri(r).size();
+    }
+    next(relations);
+    next(8 + 12 * g->num_triples());
+  }
+  next(8 + 4 * s.source_ids.size());
+  next(8 + 4 * s.target_ids.size());
+  for (const la::Matrix* m :
+       {&s.x1, &s.x2, &s.src_struct_emb, &s.tgt_struct_emb, &s.src_name_emb,
+        &s.tgt_name_emb, &s.fused}) {
+    next(16 + 4 * m->size());
+  }
+  return at;
+}
+
+/// Parses `bytes` and requires a value or kDataLoss — never anything else.
+void ExpectValueOrDataLoss(const std::string& bytes, const std::string& what) {
+  const StatusOr<DeltaState> parsed = ParseDeltaState(bytes);
+  EXPECT_TRUE(parsed.ok() || parsed.status().IsDataLoss())
+      << what << ": " << parsed.status().ToString();
+}
+
+TEST_F(DeltaEquivalenceTest, VersionOneStateLoadsAndApplyPublishesVersionTwo) {
+  const DeltaState base = MakeBaseState(61, StateConfig(), ctx_);
+  DiskFixture fx;
+  fx.Init(base);
+  if (::testing::Test::HasFatalFailure()) return;
+  {
+    auto store = OpenDeltaStateStore(fx.state_dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("state", V1Bytes(base)).ok());
+  }
+  auto store = OpenDeltaStateStore(fx.state_dir);
+  ASSERT_TRUE(store.ok());
+  auto v1_gen = store->get()->CurrentGeneration("state");
+  ASSERT_TRUE(v1_gen.ok());
+  auto loaded = LoadDeltaState(store->get());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectBitIdentical(*loaded, base, "version-1 load");
+  auto gen_after_load = store->get()->CurrentGeneration("state");
+  ASSERT_TRUE(gen_after_load.ok());
+  EXPECT_EQ(*gen_after_load, *v1_gen) << "the v1 generation was dropped";
+  for (const auto& entry : std::filesystem::directory_iterator(fx.state_dir)) {
+    EXPECT_NE(entry.path().extension(), ".corrupt")
+        << "quarantined " << entry.path();
+  }
+
+  Rng rng(62);
+  const std::vector<PatchRecord> batch = MakeRandomBatch(base, &rng);
+  fx.Append(batch);
+  auto report = ApplyDelta(fx.options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  store = OpenDeltaStateStore(fx.state_dir);
+  ASSERT_TRUE(store.ok());
+  auto published = store->get()->Get("state");
+  ASSERT_TRUE(published.ok()) << published.status().ToString();
+  EXPECT_TRUE(*published == SerializeDeltaState(Oracle(base, batch, ctx_)))
+      << "apply over a v1 state must publish the v2 oracle bytes";
+}
+
+TEST_F(DeltaEquivalenceTest, StateDecoderRejectsTruncationAndSurvivesBitFlips) {
+  const DeltaState base = MakeBaseState(71, StateConfig(), ctx_);
+  const std::string bytes = SerializeDeltaState(base);
+  const std::vector<size_t> bounds = SectionBoundaries(base);
+  ASSERT_EQ(bounds.back() + 4, bytes.size()) << "boundary table is stale";
+
+  Rng rng(72);
+  std::vector<size_t> cuts;
+  for (size_t b : bounds) {
+    for (size_t cut : {b, b + 1, b + 5}) {
+      if (cut < bytes.size()) cuts.push_back(cut);
+    }
+  }
+  for (int k = 0; k < 64; ++k) cuts.push_back(rng.NextBounded(bytes.size()));
+  for (size_t cut : cuts) {
+    // As cut, the CRC rejects it; resealed, the parser itself must.
+    std::string truncated = bytes.substr(0, cut);
+    EXPECT_TRUE(ParseDeltaState(truncated).status().IsDataLoss()) << cut;
+    if (cut < 16) continue;  // no room for a trailer after the header
+    Reseal(&truncated);
+    EXPECT_TRUE(ParseDeltaState(truncated).status().IsDataLoss())
+        << "resealed truncation at " << cut;
+  }
+
+  const std::string v1 = V1Bytes(base);
+  for (const std::string* original : {&bytes, &v1}) {
+    for (int k = 0; k < 256; ++k) {
+      std::string flipped = *original;
+      const size_t at = rng.NextBounded(flipped.size() - 4);
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << rng.NextBounded(8)));
+      Reseal(&flipped);
+      ExpectValueOrDataLoss(flipped, StrFormat("bit flip at %zu", at));
+    }
+  }
+
+  for (uint64_t extra : {uint64_t{1}, uint64_t{1} << 62}) {
+    EXPECT_TRUE(ParseDeltaState(V1Bytes(base, extra)).status().IsDataLoss())
+        << "v1 preference rows skewed by " << extra;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <numeric>
 
 #include "ceaff/common/random.h"
@@ -184,28 +185,151 @@ TEST(TotalWeightTest, SumsMatchedSimilarities) {
   EXPECT_NEAR(TotalWeight(m, r), 0.9 + 0.3, 1e-6);
 }
 
+// ---------- Full-sort reference DAA (test-only oracle) ----------
+
+/// The textbook Deferred Acceptance: every source's preference list is
+/// argsorted up front (a stable sort by descending score, so equal scores,
+/// +0 and -0 included, keep the lower index first), then sources propose
+/// in the same FIFO order as the production engine. The production engine
+/// derives the same lists lazily, so results and traces must agree
+/// exactly.
+MatchResult FullSortDaa(const la::Matrix& m,
+                        std::vector<DaaTraceEvent>* trace) {
+  const size_t n1 = m.rows();
+  const size_t n2 = m.cols();
+  MatchResult result;
+  result.target_of_source.assign(n1, -1);
+  if (n1 == 0 || n2 == 0) return result;
+  std::vector<std::vector<uint32_t>> prefs(n1);
+  for (size_t i = 0; i < n1; ++i) {
+    const float* row = m.row(i);
+    prefs[i].resize(n2);
+    std::iota(prefs[i].begin(), prefs[i].end(), 0u);
+    std::stable_sort(prefs[i].begin(), prefs[i].end(),
+                     [row](uint32_t a, uint32_t b) { return row[a] > row[b]; });
+  }
+  std::vector<int64_t> source_of_target(n2, -1);
+  std::vector<size_t> next(n1, 0);
+  std::vector<size_t> round(n1, 1);
+  std::deque<uint32_t> free_sources;
+  for (uint32_t i = 0; i < n1; ++i) free_sources.push_back(i);
+  while (!free_sources.empty()) {
+    const uint32_t u = free_sources.front();
+    free_sources.pop_front();
+    if (next[u] == n2) continue;
+    const uint32_t v = prefs[u][next[u]++];
+    const int64_t inc = source_of_target[v];
+    bool accepted = inc < 0;
+    if (!accepted) {
+      const float challenger = m.at(u, v);
+      const float holder = m.at(static_cast<size_t>(inc), v);
+      accepted = challenger > holder ||
+                 (challenger == holder && u < static_cast<uint32_t>(inc));
+    }
+    if (trace != nullptr) {
+      trace->push_back({round[u], u, v, accepted, accepted ? inc : -1});
+    }
+    if (accepted) {
+      source_of_target[v] = u;
+      result.target_of_source[u] = v;
+      if (inc >= 0) {
+        result.target_of_source[static_cast<size_t>(inc)] = -1;
+        ++round[static_cast<size_t>(inc)];
+        free_sources.push_back(static_cast<uint32_t>(inc));
+      }
+    } else {
+      ++round[u];
+      free_sources.push_back(u);
+    }
+  }
+  return result;
+}
+
+/// Every source ranks the targets in the same order (target 0 first),
+/// while every target prefers the highest source index, so each proposal
+/// to a held target displaces its holder: about n1·n2/2 proposals.
+la::Matrix DeepChainMatrix(size_t n1, size_t n2) {
+  la::Matrix m(n1, n2);
+  for (size_t i = 0; i < n1; ++i) {
+    for (size_t j = 0; j < n2; ++j) {
+      m.at(i, j) = static_cast<float>(n2 - j) +
+                   0.5f * static_cast<float>(i) / static_cast<float>(n1);
+    }
+  }
+  return m;
+}
+
+TEST(DeepChainTest, EverySourceWalksDownTheSharedOrder) {
+  std::vector<DaaTraceEvent> trace;
+  const MatchResult r = DeferredAcceptanceTraced(DeepChainMatrix(40, 40),
+                                                 &trace);
+  // Source i ends at target 39 - i after 40 - i proposals.
+  EXPECT_EQ(trace.size(), 40u * 41u / 2u);
+  for (size_t i = 0; i < 40; ++i) {
+    EXPECT_EQ(r.target_of_source[i], static_cast<int64_t>(39 - i));
+  }
+}
+
 // ---------- Property tests over random similarity matrices ----------
+
+/// Matrix kinds beyond uniform random, selected by high bits of the case
+/// seed. MatchingCase keeps its 24-byte layout because gtest names each
+/// value-parameterised case after the bytes of its parameter.
+constexpr uint64_t kTieHeavy = uint64_t{1} << 40;   // 2-5 values, -0.0f too
+constexpr uint64_t kDeepChain = uint64_t{1} << 41;  // DeepChainMatrix
 
 struct MatchingCase {
   uint64_t seed;
   size_t n1, n2;
 };
 
+/// The case's matrix; `salt` varies the random draw per test.
+la::Matrix CaseMatrix(const MatchingCase& c, uint64_t salt) {
+  Rng rng(c.seed ^ salt);
+  if ((c.seed & kDeepChain) != 0) return DeepChainMatrix(c.n1, c.n2);
+  if ((c.seed & kTieHeavy) == 0) return RandomMatrix(&rng, c.n1, c.n2);
+  const float palette[] = {0.5f, -0.0f, 0.25f, 0.0f, 0.75f};
+  const size_t distinct = 2 + rng.NextBounded(4);
+  la::Matrix m(c.n1, c.n2);
+  for (size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = palette[rng.NextBounded(distinct)];
+  }
+  return m;
+}
+
 class MatchingPropertyTest : public ::testing::TestWithParam<MatchingCase> {};
 
 TEST_P(MatchingPropertyTest, DaaIsStable) {
   MatchingCase c = GetParam();
-  Rng rng(c.seed);
-  la::Matrix m = RandomMatrix(&rng, c.n1, c.n2);
+  la::Matrix m = CaseMatrix(c, 0);
   MatchResult r = DeferredAcceptance(m);
   EXPECT_EQ(CountBlockingPairs(m, r), 0u);
   EXPECT_EQ(r.num_matched(), std::min(c.n1, c.n2));
 }
 
+TEST_P(MatchingPropertyTest, DaaMatchesFullSortOracle) {
+  MatchingCase c = GetParam();
+  la::Matrix m = CaseMatrix(c, 0x55);
+  std::vector<DaaTraceEvent> want_trace;
+  const MatchResult want = FullSortDaa(m, &want_trace);
+  EXPECT_EQ(DeferredAcceptance(m).target_of_source, want.target_of_source);
+  std::vector<DaaTraceEvent> got_trace;
+  const MatchResult got = DeferredAcceptanceTraced(m, &got_trace);
+  EXPECT_EQ(got.target_of_source, want.target_of_source);
+  ASSERT_EQ(got_trace.size(), want_trace.size());
+  for (size_t k = 0; k < got_trace.size(); ++k) {
+    const DaaTraceEvent& g = got_trace[k];
+    const DaaTraceEvent& w = want_trace[k];
+    ASSERT_TRUE(g.round == w.round && g.source == w.source &&
+                g.target == w.target && g.accepted == w.accepted &&
+                g.displaced == w.displaced)
+        << "trace diverges at event " << k;
+  }
+}
+
 TEST_P(MatchingPropertyTest, DaaIsOneToOne) {
   MatchingCase c = GetParam();
-  Rng rng(c.seed ^ 0x77);
-  la::Matrix m = RandomMatrix(&rng, c.n1, c.n2);
+  la::Matrix m = CaseMatrix(c, 0x77);
   MatchResult r = DeferredAcceptance(m);
   std::vector<char> used(c.n2, 0);
   for (int64_t t : r.target_of_source) {
@@ -218,8 +342,7 @@ TEST_P(MatchingPropertyTest, DaaIsOneToOne) {
 TEST_P(MatchingPropertyTest, HungarianDominatesOtherMatchersInWeight) {
   MatchingCase c = GetParam();
   if (c.n1 > c.n2) GTEST_SKIP() << "Hungarian requires n1 <= n2";
-  Rng rng(c.seed ^ 0x99);
-  la::Matrix m = RandomMatrix(&rng, c.n1, c.n2);
+  la::Matrix m = CaseMatrix(c, 0x99);
   double hungarian = TotalWeight(m, HungarianMatch(m).value());
   EXPECT_GE(hungarian + 1e-5, TotalWeight(m, DeferredAcceptance(m)));
   EXPECT_GE(hungarian + 1e-5, TotalWeight(m, GreedyOneToOne(m)));
@@ -228,8 +351,7 @@ TEST_P(MatchingPropertyTest, HungarianDominatesOtherMatchersInWeight) {
 TEST_P(MatchingPropertyTest, HungarianMatchesBruteForceOnSmallInstances) {
   MatchingCase c = GetParam();
   if (c.n1 > 5 || c.n1 > c.n2) GTEST_SKIP();
-  Rng rng(c.seed ^ 0xbb);
-  la::Matrix m = RandomMatrix(&rng, c.n1, c.n2);
+  la::Matrix m = CaseMatrix(c, 0xbb);
   double best = -1.0;
   std::vector<size_t> perm(c.n2);
   std::iota(perm.begin(), perm.end(), size_t{0});
@@ -250,7 +372,13 @@ INSTANTIATE_TEST_SUITE_P(
                       MatchingCase{3, 6, 4}, MatchingCase{4, 1, 8},
                       MatchingCase{5, 8, 1}, MatchingCase{6, 12, 12},
                       MatchingCase{7, 3, 3}, MatchingCase{8, 20, 25},
-                      MatchingCase{9, 25, 20}, MatchingCase{10, 2, 2}));
+                      MatchingCase{9, 25, 20}, MatchingCase{10, 2, 2},
+                      // Sizes where proposal cursors must refill.
+                      MatchingCase{11, 70, 130}, MatchingCase{12, 130, 70},
+                      MatchingCase{kTieHeavy | 13, 64, 96},
+                      MatchingCase{kTieHeavy | 14, 96, 64},
+                      MatchingCase{kTieHeavy | 15, 80, 80},
+                      MatchingCase{kDeepChain | 16, 120, 160}));
 
 }  // namespace
 }  // namespace ceaff::matching

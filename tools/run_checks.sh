@@ -21,8 +21,10 @@
 # and the degraded counter must stay 0), and a rolling-reload hammer
 # (RELOAD mid-session on a replicated fleet: zero failed queries, also
 # rerun under ASan), and a delta smoke (journal a patch batch, apply it
-# beside a live server and assert RELOAD serves the patch, then SIGKILL
-# mid-publish and assert the journal replay converges on the next apply);
+# beside a live server and assert RELOAD serves the patch, assert a
+# `delta rebuild` of the same batch publishes byte-identical state, then
+# SIGKILL mid-publish and assert the journal replay converges on the next
+# apply);
 # the `shard`-labelled drills — including the
 # replication/rolling-reload/rollback suite — also rerun under ASan, the
 # `delta`-labelled suites (WAL units, repair-vs-rebuild equivalence,
@@ -366,9 +368,20 @@ if [[ "$skip_smoke" == 0 ]]; then
   grep -q '^NONE PAIR' "$delta/serve_out.txt"
   # Apply the journaled batch while the service keeps running, then RELOAD
   # the same directory: the renamed entity must now answer its PAIR.
+  cp -r "$delta/state" "$delta/rebuild_state"
+  cp -r "$delta/wal" "$delta/rebuild_wal"
   "$repo/build/tools/ceaff" delta apply --journal "$delta/wal" \
     --state "$delta/state" --index "$delta/index" | tee "$delta/apply.txt"
   grep -q 'watermark 0 -> 3' "$delta/apply.txt"
+  # Repair vs rebuild through the CLI: replaying the same batch on a copy
+  # of the pre-apply dirs with the exhaustive rebuild path must publish a
+  # byte-identical state.
+  "$repo/build/tools/ceaff" delta rebuild --journal "$delta/rebuild_wal" \
+    --state "$delta/rebuild_state" | tee "$delta/rebuild.txt"
+  grep -q 'watermark 0 -> 3' "$delta/rebuild.txt"
+  newest_state() { ls "$1" | grep -E '^state\.g[0-9]+$' | sort -V | tail -n 1; }
+  cmp "$delta/state/$(newest_state "$delta/state")" \
+    "$delta/rebuild_state/$(newest_state "$delta/rebuild_state")"
   printf 'RELOAD %s\nPAIR delta renamed smoke entity\nQUIT\n' \
     "$delta/index" >&7
   exec 7>&-
